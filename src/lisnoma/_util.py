@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic substreams and composite quadrature."""
+"""Shared helpers: deterministic substreams, graded composite quadrature."""
 
 from __future__ import annotations
 
@@ -7,6 +7,10 @@ import numpy as np
 # Fixed chunk size keeps streams bit-identical regardless of how callers
 # batch their draws.
 CHUNK = 1 << 20
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical routine failed to reach its accuracy target."""
 
 
 def chunk_rng(seed: int, *key: int) -> np.random.Generator:
@@ -33,28 +37,34 @@ def chunk_counts(total: int, chunk: int = CHUNK):
 
 def gauss_legendre_panels(f, lo: float, hi: float, *, abs_tol: float = 1e-10,
                           order: int = 48, max_panels: int = 4096) -> float:
-    """Integrate a vectorized callable with panel doubling.
+    """Integrate a vectorized callable on a mesh graded toward ``lo``.
 
-    Composite Gauss-Legendre; the panel count doubles until two successive
-    refinements differ by less than abs_tol. Deterministic by construction.
+    Breakpoints lo and lo + (hi - lo) 2^-k, k = 40..0, cut [lo, hi] into
+    41 levels shrinking geometrically toward ``lo``, which resolves
+    endpoint singularities and log-periodic oscillation such as Re x^c
+    with complex c (Davis & Rabinowitz). Every level carries the same
+    number of Gauss-Legendre panels, doubled until two successive totals
+    differ by less than abs_tol. Raises ConvergenceError when that would
+    take more than max_panels panels. Deterministic by construction.
     """
     if hi <= lo:
         return 0.0
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    panels = 8
-    prev = None
-    while panels <= max_panels:
-        edges = np.linspace(lo, hi, panels + 1)
-        a = edges[:-1, None]
-        b = edges[1:, None]
-        x = (a + b) / 2 + (b - a) / 2 * nodes[None, :]
-        w = (b - a) / 2 * weights[None, :]
-        val = float(np.sum(w * f(x.ravel()).reshape(x.shape)))
-        if prev is not None and abs(val - prev) < abs_tol:
-            return val
-        prev = val
-        panels *= 2
-    return prev
+    breaks = lo + (hi - lo) * np.r_[0.0, np.exp2(-np.arange(40.0, -1.0, -1.0))]
+    per_level, vals = 1, []
+    while per_level * (breaks.size - 1) <= max_panels:
+        step = np.diff(breaks) / per_level
+        a = breaks[:-1, None] + step[:, None] * np.arange(per_level)
+        half = np.repeat(step, per_level)[:, None] / 2
+        x = a.reshape(-1, 1) + half * (1 + nodes)
+        fx = f(x.ravel()).reshape(x.shape)
+        vals.append(float(np.sum(half * weights * fx)))
+        if len(vals) > 1 and abs(vals[-1] - vals[-2]) < abs_tol:
+            return vals[-1]
+        per_level *= 2
+    raise ConvergenceError(
+        f"graded quadrature hit its cap of {max_panels} panels: last two "
+        f"values {vals[-2:]}, abs_tol {abs_tol:g}")
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054):

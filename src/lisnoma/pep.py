@@ -246,8 +246,11 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
 
     This is the referee for every closed form. ``pdf_model`` selects the
     density of the scaled gain; integration runs over the half line
-    [0, hi] with hi leaving under 1e-9 of mass outside. The ``empirical``
-    model averages the kernel over a seeded sample instead.
+    [0, hi] with hi leaving under 1e-9 of mass outside, on a mesh graded
+    geometrically toward 0, where the M <= 3 fitted density oscillates
+    log-periodically. Raises ConvergenceError if the mesh reaches its
+    panel cap before meeting ``abs_tol``. The ``empirical`` model
+    averages the kernel over a seeded sample instead.
     """
     N0 = _resolve_n0(config, snr_db)
     lam = event.lam_at(N0)

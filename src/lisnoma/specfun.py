@@ -29,13 +29,11 @@ import numpy as np
 from scipy import optimize
 from scipy import special as sp
 
+from ._util import ConvergenceError
+
 _LN2PI = math.log(2.0 * math.pi)
 _TAIL_LOG = -43.0          # integrand tail cutoff, about 2e-19 relative
 _MAX_NODES = 1 << 17
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical routine failed to reach its accuracy target."""
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +292,12 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
         mag = mag + np.abs(pref) * accmag
 
     result = np.real(total)
-    imag_leak = np.abs(np.imag(total))
-    cancel = mag / np.maximum(np.abs(result), 1e-300)
-    err = cancel * 2e-16 + imag_leak / np.maximum(np.abs(result), 1e-300)
+    # a sum that cancelled to zero, or did not stay finite, keeps no digits
+    err = np.full_like(result, np.inf)
+    ok = np.isfinite(result) & (result != 0)
+    scale = np.maximum(np.abs(result[ok]), 1e-300)
+    with np.errstate(over="ignore"):
+        err[ok] = mag[ok] / scale * 2e-16 + np.abs(np.imag(total[ok])) / scale
     return result, err
 
 

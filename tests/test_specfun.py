@@ -6,11 +6,13 @@ against each other and against elementary identities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lisnoma import fit_gparams
+from lisnoma.pdf_approx import pdf_g, quadrature_domain
 from lisnoma.specfun import ConvergenceError, meijer_g_1443, meijer_g_2012
 
 # shape parameters of the fitted kernels these engines exist for
@@ -80,6 +82,26 @@ def test_series_refuses_integer_separated_parameters():
     # the automatic path must still deliver a value there
     v = float(meijer_g_2012(np.array([2.0]), 5.0, 3.0, 2.0)[0])
     assert v > 0
+
+
+def test_cancelled_series_falls_back_without_warnings():
+    # at M = 32 the residue series sums to exactly 0 near z = 9.10, where
+    # the kernel is about 5.7e38; auto mode must move such points to the
+    # contour without an overflow in the error estimate
+    import mpmath as mp
+    p = fit_gparams(32, 0.5)
+    xs = np.linspace(0.0, quadrature_domain(32, 0.5), 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = pdf_g(xs, p)
+    zs = xs / p.a2
+    for target in (8.77, 9.10, 9.44):
+        i = int(np.argmin(np.abs(zs - target)))
+        assert abs(zs[i] - target) < 0.01
+        with mp.workdps(30):
+            ref = mp.meijerg([[], [p.a3]], [[p.a4, p.a5], []], zs[i])
+        want = math.exp(p.log_a1) * float(mp.re(ref))
+        assert vals[i] == pytest.approx(want, rel=1e-7)
 
 
 def test_kernel_input_validation():
