@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 from scipy import special as sp
 
 from ._util import CHUNK, chunk_counts, chunk_rng
@@ -361,6 +360,8 @@ def check_diversity(quick: bool = False):
 # 7: union bound vs simulation, gap, and feasibility
 
 def _bound_crossing(cfg, user, enum, target, lo=2.0, hi=70.0):
+    # imported here: loading scipy.optimize costs every CLI command ~0.3 s
+    from scipy import optimize
     f = lambda s: (math.log10(union_bound(cfg, user, s,
                                           enumeration=enum).raw)
                    - math.log10(target))

@@ -272,8 +272,14 @@ def _cmd_pep(args, parser) -> int:
                                   _fmt(hi), "mc")))
             continue
         if args.method == "quad":
+            # tolerance as a share of the closed form on the same density,
+            # since deep-tail rows sit far below any absolute tolerance
+            closed = {"g": pep_general, "dr": pep_m1,
+                      "clt": pep_clt}[args.pdf_model](
+                cfg, args.user, event, snr_db=s)
             v = pep_quadrature(cfg, args.user, event, snr_db=s,
-                               pdf_model=args.pdf_model)
+                               pdf_model=args.pdf_model,
+                               abs_tol=max(closed.raw * 1e-9, 1e-280))
             tag = f"quad-{args.pdf_model}"
             rows.append(",".join((_fmt(s), _fmt(v), _fmt(v), _fmt(v), tag)))
             continue

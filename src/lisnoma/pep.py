@@ -146,21 +146,33 @@ def _finish(raw_log: float, method: str, event: ErrorEvent) -> PepValue:
                     method=method, flagged=event.flagged)
 
 
+def _log_pep_general(config: SystemConfig, user: int,
+                     events: Sequence[ErrorEvent],
+                     N0: Sequence[float]) -> np.ndarray:
+    """Log of the general-M Chernoff bound for each (event, N0) pair.
+
+    All pairs go to the averaged kernel in one call.
+    """
+    D = config.distance_factor(user)
+    p = _fit(config.M, config.sigma2)
+    zeta = np.array([2.0 * p.a2 ** 2 * ev.vartheta ** 2
+                     / (D * (2.0 * n0 * ev.delta_bar ** 2))
+                     for ev, n0 in zip(events, N0)])
+    if np.any(zeta <= 0):
+        raise ValueError("degenerate event: vartheta is zero")
+    log_g, sign, _ = meijer_g_1443_log(zeta, p.a3, p.a4, p.a5)
+    if np.any(sign <= 0):
+        raise ValueError("kernel evaluation lost positivity")
+    log_k = (p.log_a1 + math.log(p.a2) + (p.a6 - p.a3) * _LN2 - 0.5 * _LNPI)
+    return log_k + log_g
+
+
 def pep_general(config: SystemConfig, user: int, event: ErrorEvent,
                 snr_db: Optional[float] = None) -> PepValue:
     """Closed-form Chernoff bound for any M, via the averaged kernel."""
     N0 = _resolve_n0(config, snr_db)
-    lam2 = 2.0 * N0 * event.delta_bar ** 2
-    D = config.distance_factor(user)
-    p = _fit(config.M, config.sigma2)
-    zeta = 2.0 * p.a2 ** 2 * event.vartheta ** 2 / (D * lam2)
-    if zeta <= 0:
-        raise ValueError("degenerate event: vartheta is zero")
-    log_g, sign, _ = meijer_g_1443_log(zeta, p.a3, p.a4, p.a5)
-    if sign <= 0:
-        raise ValueError("kernel evaluation lost positivity")
-    log_k = (p.log_a1 + math.log(p.a2) + (p.a6 - p.a3) * _LN2 - 0.5 * _LNPI)
-    return _finish(log_k + log_g, "general", event)
+    log_raw = _log_pep_general(config, user, [event], [N0])[0]
+    return _finish(float(log_raw), "general", event)
 
 
 def pep_m1(config: SystemConfig, user: int, event: ErrorEvent,
@@ -293,15 +305,3 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     hi = quadrature_domain(config.M, config.sigma2, D)
     return gauss_legendre_panels(lambda x: ker(x) * density(x), 0.0, hi,
                                  abs_tol=abs_tol)
-
-
-DEFAULT_SNR_DB = tuple(range(0, 41, 2))
-
-
-def pep_curve(config: SystemConfig, user: int, event: ErrorEvent,
-              snr_db: Sequence[float], method: str = "general"):
-    """Evaluate one closed form over an SNR grid, returning PepValues."""
-    fn = {"general": pep_general, "m1": pep_m1, "clt": pep_clt}.get(method)
-    if fn is None:
-        raise ValueError("method must be one of general, m1, clt")
-    return [fn(config, user, event, snr_db=s) for s in snr_db]

@@ -9,47 +9,38 @@ Two Meijer G instances are needed and only those two are implemented:
 
 Both are evaluated from their Mellin-Barnes representations. The series
 path sums left-pole residues (valid when the two lower parameters do not
-differ by an integer); the contour path integrates along a vertical line
-anchored where the integrand modulus is smallest, which keeps float64
-cancellation bounded for small and large arguments alike. All gamma
-factors are handled in log space with sign tracking.
-
-Plain scalar specials are thin wrappers over scipy.special behind a
-stable local surface.
+differ by an integer). The contour path integrates along vertical lines
+with the trapezoid rule, one line per band of arguments: the arguments
+are grouped on a fixed lattice in ln z (ratio 1.25), and each band gets
+one abscissa near the real-axis saddle of its centre, one half-length
+and one set of gamma factors per node. The argument enters only as the
+phase -t ln z, so a band's sums are one (arguments x nodes) product.
+Anchoring near the saddle keeps float64 cancellation bounded for small
+and large arguments alike. All gamma factors are handled in log space
+with sign tracking. Nothing is memoised: a value depends only on its
+argument, the parameters and the tolerance, never on which other
+arguments share the call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 from scipy import special as sp
 
 from ._util import ConvergenceError
 
 _LN2PI = math.log(2.0 * math.pi)
 _TAIL_LOG = -43.0          # integrand tail cutoff, about 2e-19 relative
+_FIRST_NODES = 129
 _MAX_NODES = 1 << 17
-
-
-# ---------------------------------------------------------------------------
-# scalar specials
-
-def gamma_fn(x):
-    return sp.gamma(x)
-
-
-def log_gamma(z):
-    """Principal log-gamma, complex capable."""
-    return sp.loggamma(z)
-
-
-def erf_fn(x):
-    return sp.erf(x)
+_BAND_LOG = math.log(1.25)  # width of one argument band in ln z
+_BLOCK = 1 << 18           # entries per (arguments x nodes) row block
+_SADDLE_CELLS = 16         # saddle search: grid cells per round,
+_SADDLE_ROUNDS = 4         # ... and rounds, to 1.2e-4 of the bracket
 
 
 def q_function(x):
@@ -57,33 +48,26 @@ def q_function(x):
     return 0.5 * sp.erfc(np.asarray(x) / math.sqrt(2.0))
 
 
-def exp_int_e1(x):
-    return sp.exp1(x)
-
-
-def bessel_k0(x):
-    return sp.k0(x)
-
-
 # ---------------------------------------------------------------------------
 # Mellin-Barnes core
 
 @dataclass(frozen=True)
 class MellinBarnesSpec:
-    """Record of one contour evaluation.
+    """Record of the contour of one argument band.
 
     ``plus``/``minus`` hold numerator gamma offsets for factors in
     Gamma(offset + s) and Gamma(offset - s); the ``den_*`` tuples are the
-    corresponding denominator offsets. The contour is the vertical line
-    Re s = abscissa, truncated at ``half_length`` and sampled with
-    ``nodes`` points (nodes >= 64).
+    corresponding denominator offsets. The band holds the arguments z
+    with ``band[0] <= z < band[1]``. Its contour is the vertical line
+    Re s = abscissa, truncated at ``half_length``; ``nodes`` is the node
+    count at which the band's last argument converged (nodes >= 64).
     """
 
     plus: tuple
     minus: tuple
     den_plus: tuple
     den_minus: tuple
-    argument: float
+    band: tuple
     abscissa: float
     half_length: float
     nodes: int
@@ -99,18 +83,34 @@ def _strip(plus, minus):
     return lo, hi
 
 
-def _log_integrand(s, z, plus, minus, den_plus, den_minus):
-    s = np.asarray(s, dtype=complex)
-    out = -s * math.log(z)
-    for b in plus:
-        out = out + sp.loggamma(b + s)
-    for a in minus:
-        out = out + sp.loggamma(a - s)
-    for d in den_plus:
-        out = out - sp.loggamma(d + s)
-    for d in den_minus:
-        out = out - sp.loggamma(d - s)
-    return out
+class _GammaRatio:
+    """The gamma-factor ratio F(s) of a Mellin-Barnes integrand.
+
+    Factor k is Gamma(offset_k + direction_k s), in the numerator when
+    its sign is +1 and the denominator when -1. All factors are
+    evaluated in one ufunc call per point set.
+    """
+
+    def __init__(self, plus, minus, den_plus, den_minus):
+        groups = ((plus, 1, 1), (minus, -1, 1), (den_plus, 1, -1),
+                  (den_minus, -1, -1))
+        table = np.array([(v, d, e) for g, d, e in groups for v in g],
+                         dtype=complex)
+        self.offset = table[:, 0]
+        self.direction, self.sign = table[:, 1].real, table[:, 2].real
+        # |Gamma(x + i t)| falls like exp(-pi |t| / 2)
+        self.decay = math.pi / 2 * self.sign.sum()
+
+    def log(self, s):
+        """log F(s), elementwise over an array of points s."""
+        lift = (-1,) + (1,) * np.ndim(s)
+        terms = self.sign.reshape(lift) * sp.loggamma(
+            self.offset.reshape(lift) + self.direction.reshape(lift) * s)
+        # row by row, so every point's sum is formed in the same order
+        out = terms[0]
+        for row in terms[1:]:
+            out = out + row
+        return out
 
 
 def _pole_margin(width):
@@ -119,129 +119,163 @@ def _pole_margin(width):
     return min(0.35, 0.25 * width)
 
 
-def _pick_abscissa(z, plus, minus, den_plus, den_minus):
-    """Anchor the contour where the integrand modulus is minimal.
+def _saddles(lnz, ratio, lo, hi):
+    """Anchor each band's line where the integrand modulus is minimal.
 
-    The log-modulus on the real axis blows up at both strip edges, so a
-    bounded minimization stays interior and lands near the saddle. This
-    is what bounds the cancellation of the oscillatory integral. A pole
-    clearance margin is enforced at the strip edges; without it the
-    minimizer can park next to a pole and leave a spike the trapezoid
-    cannot resolve.
+    On the real axis the log-modulus log F(c) - c ln z blows up at both
+    strip edges, so its minimum is interior and sits near the saddle.
+    That is what bounds the cancellation of the oscillatory integral. The
+    search samples the bracket on a grid and narrows it to the two cells
+    around the lowest sample, for all bands at once. A pole clearance
+    margin is kept at the strip edges; without it the line can park next
+    to a pole and leave a spike the trapezoid cannot resolve.
     """
-    lo, hi = _strip(plus, minus)
-    m_hi = 0.0
-    if not math.isfinite(hi):
-        # growth is eventually monotone; the saddle sits near the argument
-        hi = lo + max(10.0, 1.5 * z + 25.0)
+    if math.isfinite(hi):
+        margin = _pole_margin(hi - lo)
+        left = np.full_like(lnz, lo + margin)
+        right = np.full_like(lnz, hi - margin)
     else:
-        m_hi = _pole_margin(hi - lo)
-    m_lo = _pole_margin(hi - lo)
+        # growth is eventually monotone; the saddle sits near the argument
+        left = np.full_like(lnz, lo + _pole_margin(10.0))
+        right = lo + np.maximum(10.0, 1.5 * np.exp(lnz) + 25.0)
+    cells = np.arange(_SADDLE_CELLS + 1)
+    for _ in range(_SADDLE_ROUNDS):
+        step = (right - left) / _SADDLE_CELLS
+        grid = left[:, None] + step[:, None] * cells
+        height = ratio.log(grid).real - grid * lnz[:, None]
+        best = np.argmin(height, axis=1)
+        right = left + step * np.minimum(best + 1, _SADDLE_CELLS)
+        left = left + step * np.maximum(best - 1, 0)
+    return grid[np.arange(lnz.size), best]
 
-    def g(c):
-        return float(np.real(_log_integrand(
-            complex(c), z, plus, minus, den_plus, den_minus)))
 
-    res = optimize.minimize_scalar(
-        g, bounds=(lo + m_lo, hi - m_hi), method="bounded",
-        options={"xatol": max(1e-5 * (hi - lo), 1e-8)})
-    if res.success:
-        return float(res.x), (lo, hi)
-    return (lo + m_lo + hi - m_hi) / 2, (lo, hi)
+def _half_lengths(c, ratio):
+    """Where each line's integrand falls below the tail cutoff.
 
-
-def _half_length(z, c, plus, minus, den_plus, den_minus):
-    decay = math.pi / 2 * (len(plus) + len(minus)
-                           - len(den_plus) - len(den_minus))
-    if decay <= 0:
+    The argument only turns the phase along a vertical line, so the
+    truncation depends on the abscissa alone. Returns the half-lengths
+    and log F at the abscissas.
+    """
+    if ratio.decay <= 0:
         raise ConvergenceError("integrand does not decay on vertical lines")
-    l0 = float(np.real(_log_integrand(
-        complex(c), z, plus, minus, den_plus, den_minus)))
-    T = (-_TAIL_LOG) / decay + 5.0
+    g0 = ratio.log(c).real
+    T = np.full_like(c, (-_TAIL_LOG) / ratio.decay + 5.0)
+    open_ = np.arange(c.size)
     for _ in range(40):
-        tail = float(np.real(_log_integrand(
-            complex(c, T), z, plus, minus, den_plus, den_minus)))
-        if tail - l0 < _TAIL_LOG:
-            return T
-        T *= 1.3
+        tail = ratio.log(c[open_] + 1j * T[open_]).real
+        open_ = open_[tail - g0[open_] >= _TAIL_LOG]
+        if open_.size == 0:
+            return T, g0
+        T[open_] *= 1.3
     raise ConvergenceError("could not truncate the contour tail")
 
 
+def _row_sums(lnz, t, log_f, weight):
+    """sum_j weight_j Re exp(log_f_j - i t_j ln z) for each ln z.
+
+    Evaluated in row blocks of at most _BLOCK entries, so peak memory
+    does not grow with the number of arguments. Each row is summed on
+    its own, so its value does not depend on the other rows.
+    """
+    amp = weight * np.exp(log_f.real)
+    phase = log_f.imag
+    rows = max(1, _BLOCK // t.size)
+    out = np.empty(lnz.size)
+    for i in range(0, lnz.size, rows):
+        block = lnz[i:i + rows]
+        out[i:i + rows] = (np.cos(phase - block[:, None] * t) * amp).sum(axis=1)
+    return out
+
+
+def _band_sums(lnz, c, g0, T, n, ratio, rtol):
+    """Trapezoid sums over [-T, T] for one band, scaled by exp(-g0).
+
+    Conjugate symmetry of the integrand about the real axis is assumed
+    (real argument, offset multiset closed under conjugation), so only
+    t >= 0 is sampled. Nodes double, reusing the old ones, until each
+    argument's sum changes by at most ``rtol`` relative; that argument
+    then keeps the sum of the doubling where it converged. ``g0`` is
+    log F(c). Returns the sums and the final node count.
+    """
+    t = np.linspace(0.0, T, n)
+    weight = np.ones(n)
+    weight[0] = weight[-1] = 0.5
+    acc = _row_sums(lnz, t, ratio.log(c + 1j * t) - g0, weight)
+    h = T / (n - 1)
+    prev = 2.0 * h * acc
+    out = np.empty_like(prev)
+    active = np.arange(lnz.size)
+    while n < _MAX_NODES:
+        mid = h * (np.arange(n - 1) + 0.5)
+        n = 2 * n - 1
+        h = 0.5 * h
+        acc[active] += _row_sums(lnz[active], mid,
+                                 ratio.log(c + 1j * mid) - g0, 1.0)
+        cur = 2.0 * h * acc[active]
+        scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev[active])),
+                           1e-300)
+        done = np.abs(cur - prev[active]) <= rtol * scale
+        out[active[done]] = cur[done]
+        prev[active] = cur
+        active = active[~done]
+        if active.size == 0:
+            break
+    else:
+        raise ConvergenceError("node doubling hit its cap before converging")
+    return out, n
+
+
 def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
-                 abscissa=None, rtol=1e-10, n0=129):
+                 abscissa=None, rtol=1e-10):
     """Contour integral (1/2*pi*i) int F(s) z^{-s} ds in log form.
 
-    Returns (log_abs, sign, MellinBarnesSpec). Conjugate symmetry of the
-    integrand about the real axis is assumed (real argument, offset
-    multiset closed under conjugation), so only t >= 0 is sampled.
+    ``z`` is a 1-D array of positive arguments. Returns (log_abs, sign,
+    specs): two arrays shaped like ``z`` and one MellinBarnesSpec per
+    argument band, in increasing order of the band.
     """
-    if z <= 0:
+    z = np.asarray(z, dtype=float)
+    if np.any(~(z > 0)):
         raise ValueError("argument must be positive")
-    plus = tuple(complex(b) for b in plus)
-    minus = tuple(complex(a) for a in minus)
-    den_plus = tuple(complex(d) for d in den_plus)
-    den_minus = tuple(complex(d) for d in den_minus)
+    parts = tuple(tuple(complex(v) for v in group)
+                  for group in (plus, minus, den_plus, den_minus))
+    ratio = _GammaRatio(*parts)
+    lo, hi = _strip(parts[0], parts[1])
 
-    lo, hi = _strip(plus, minus)
+    lnz = np.log(z)
+    band, where = np.unique(np.floor(lnz / _BAND_LOG), return_inverse=True)
     if abscissa is None:
-        c, _ = _pick_abscissa(z, plus, minus, den_plus, den_minus)
+        c = _saddles((band + 0.5) * _BAND_LOG, ratio, lo, hi)
     else:
         c = float(abscissa)
         if not (lo < c < (hi if math.isfinite(hi) else c + 1)):
             raise ValueError("abscissa outside the legal strip")
-
-    T = _half_length(z, c, plus, minus, den_plus, den_minus)
-    l0 = float(np.real(_log_integrand(
-        complex(c), z, plus, minus, den_plus, den_minus)))
+        c = np.full(band.size, c)
+    T, g0 = _half_lengths(c, ratio)
 
     # a pole at distance d from the line leaves a bump of width ~d along
     # it; start with enough nodes that the bump is sampled, or the
     # doubling loop can plateau on a wrong value
-    prox = c - lo
-    if math.isfinite(hi):
-        prox = min(prox, hi - c)
-    n0 = max(n0, min(4097, int(3.0 * T / max(prox, 1e-6)) | 1))
+    prox = np.minimum(c - lo, hi - c)
+    first = np.maximum(_FIRST_NODES, np.minimum(
+        4097, (3.0 * T / np.maximum(prox, 1e-6)).astype(int) | 1))
 
-    def scaled_sum(n):
-        t = np.linspace(0.0, T, n)
-        logf = _log_integrand(c + 1j * t, z, plus, minus, den_plus, den_minus)
-        vals = np.exp(logf - l0)
-        # trapezoid over [-T, T] using conjugate symmetry
-        re = np.real(vals)
-        re[0] *= 0.5
-        re[-1] *= 0.5
-        h = T / (n - 1)
-        return 2.0 * h * float(re.sum())
-
-    n = int(n0)
-    prev = scaled_sum(n)
-    while n < _MAX_NODES:
-        n = 2 * n - 1
-        cur = scaled_sum(n)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= rtol * scale:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise ConvergenceError("node doubling hit its cap before converging")
-
-    spec = MellinBarnesSpec(plus, minus, den_plus, den_minus,
-                            float(z), c, T, n)
-    if prev == 0.0:
-        return -math.inf, 0.0, spec
-    # raw line integral of F over [-T, T]; the 1/(2 pi) lives in the caller
-    return l0 + math.log(abs(prev)), math.copysign(1.0, prev), spec
-
-
-def _contour_log_value(z, plus, minus=(), den_plus=(), den_minus=(),
-                       abscissa=None, rtol=1e-10, n0=129):
-    """Same as _contour_log but with the 1/(2 pi) factor folded in."""
-    log_abs, sign, spec = _contour_log(z, plus, minus, den_plus, den_minus,
-                                       abscissa=abscissa, rtol=rtol, n0=n0)
-    if sign == 0.0:
-        return -math.inf, 0.0, spec
-    return log_abs - _LN2PI, sign, spec
+    log_abs = np.empty_like(z)
+    sign = np.empty_like(z)
+    specs = []
+    for k in range(band.size):
+        rows = np.flatnonzero(where == k)
+        sums, nodes = _band_sums(lnz[rows], c[k], g0[k], T[k],
+                                 int(first[k]), ratio, rtol)
+        sign[rows] = np.sign(sums)
+        with np.errstate(divide="ignore"):
+            # raw line integral of F over [-T, T] carries the 1/(2 pi)
+            log_abs[rows] = (g0[k] - c[k] * lnz[rows] + np.log(np.abs(sums))
+                             - _LN2PI)
+        specs.append(MellinBarnesSpec(
+            *parts, band=(math.exp(band[k] * _BAND_LOG),
+                          math.exp((band[k] + 1) * _BAND_LOG)),
+            abscissa=float(c[k]), half_length=float(T[k]), nodes=nodes))
+    return log_abs, sign, tuple(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +335,6 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
     return result, err
 
 
-@lru_cache(maxsize=1 << 18)
-def _contour_2012_cached(z: float, a3: complex, a4: complex, a5: complex,
-                         rtol: float) -> float:
-    # quadrature grids revisit the same abscissas for every SNR point, so
-    # the contour evaluations are worth memoizing
-    log_abs, sign, _ = _contour_log_value(z, plus=(a4, a5), den_plus=(a3,),
-                                          rtol=rtol)
-    return sign * math.exp(log_abs) if sign != 0.0 else 0.0
-
-
 def meijer_g_2012(x, a3, a4, a5, method: str = "auto", rtol: float = 1e-10):
     """Meijer G with one upper parameter (a3) and two lower (a4, a5).
 
@@ -356,9 +380,10 @@ def meijer_g_2012(x, a3, a4, a5, method: str = "auto", rtol: float = 1e-10):
     rest = pos & ~use_series
     if method == "series" and rest.any():
         raise ConvergenceError("residue series unavailable for some points")
-    for i in np.flatnonzero(rest):
-        out[i] = _contour_2012_cached(
-            float(x_arr[i]), complex(a3), complex(a4), complex(a5), float(rtol))
+    if rest.any():
+        log_abs, sign, _ = _contour_log(x_arr[rest], plus=(a4, a5),
+                                        den_plus=(a3,), rtol=rtol)
+        out[rest] = sign * np.exp(log_abs)
 
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
@@ -376,27 +401,39 @@ def _offsets_1443(a3, a4, a5):
     return plus, minus, den_minus
 
 
-def meijer_g_1443_log(zeta: float, a3, a4, a5, abscissa: Optional[float] = None,
+def meijer_g_1443_log(zeta, a3, a4, a5, abscissa: Optional[float] = None,
                       rtol: float = 1e-9):
-    """Log-space evaluation of the Chernoff kernel, (log_abs, sign)."""
+    """Log-space evaluation of the Chernoff kernel, (log_abs, sign, spec).
+
+    ``zeta`` may be a scalar or an array. For a scalar the result is two
+    floats and the MellinBarnesSpec of its band; for an array it is two
+    arrays shaped like ``zeta`` and a tuple of one spec per band.
+    """
     plus, minus, den_minus = _offsets_1443(a3, a4, a5)
-    log_abs, sign, spec = _contour_log_value(
-        float(zeta), plus=plus, minus=minus, den_minus=den_minus,
-        abscissa=abscissa, rtol=rtol)
-    return log_abs, sign, spec
+    log_abs, sign, specs = _contour_log(
+        np.ravel(np.asarray(zeta, dtype=float)), plus=plus, minus=minus,
+        den_minus=den_minus, abscissa=abscissa, rtol=rtol)
+    if np.ndim(zeta) == 0:
+        return float(log_abs[0]), float(sign[0]), specs[0]
+    shape = np.shape(zeta)
+    return log_abs.reshape(shape), sign.reshape(shape), specs
 
 
-def meijer_g_1443(zeta: float, a3, a4, a5, abscissa: Optional[float] = None,
+def meijer_g_1443(zeta, a3, a4, a5, abscissa: Optional[float] = None,
                   rtol: float = 1e-9, full_output: bool = False):
-    """Meijer G with four upper and three lower parameters, scalar only.
+    """Meijer G with four upper and three lower parameters.
 
-    Evaluated by contour quadrature with node doubling until the relative
-    change drops below ``rtol``. ``abscissa`` overrides the automatic
-    anchor; it must lie inside the strip between the pole families.
+    Accepts scalar or array ``zeta > 0``. Evaluated by contour quadrature
+    with node doubling until the relative change drops below ``rtol``.
+    ``abscissa`` overrides the automatic anchor; it must lie inside the
+    strip between the pole families. ``full_output`` adds the
+    MellinBarnesSpec (a tuple of one per band for an array argument).
     """
     log_abs, sign, spec = meijer_g_1443_log(zeta, a3, a4, a5,
                                             abscissa=abscissa, rtol=rtol)
-    val = sign * math.exp(log_abs) if sign != 0.0 else 0.0
+    val = sign * np.exp(log_abs)
+    if np.ndim(zeta) == 0:
+        val = float(val)
     if full_output:
         return val, spec
     return val

@@ -9,12 +9,12 @@ than a separate model.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .config import SystemConfig
-from .pep import ErrorEvent, build_event, pep_clt, pep_general, pep_m1
+from .pep import (ErrorEvent, _finish, _log_pep_general, _resolve_n0,
+                  build_event, pep_clt, pep_general, pep_m1)
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,6 @@ def enumerate_events(config: SystemConfig, user: int,
                             weights=(1.0,) * tau, tau=tau)
 
 
-_METHODS: dict = {}
-
-
 def _method(config: SystemConfig, name: Union[str, Callable]) -> Callable:
     if callable(name):
         return name
@@ -80,6 +77,26 @@ def _method(config: SystemConfig, name: Union[str, Callable]) -> Callable:
     raise ValueError("pep_method must be general, m1, clt, or a callable")
 
 
+def _event_raws(config: SystemConfig, user: int,
+                enumeration: EventEnumeration, snr_db: Sequence[float],
+                pep_method: Union[str, Callable]) -> list:
+    """Raw PEP of every event at every SNR point, one row per SNR point.
+
+    When the method resolves to the general form, all events x SNR
+    points go to the kernel in one call; other forms go event by event.
+    """
+    events = enumeration.events
+    fn = _method(config, pep_method)
+    if fn is not pep_general:
+        return [[fn(config, user, ev, snr_db=s).raw for ev in events]
+                for s in snr_db]
+    N0 = [_resolve_n0(config, s) for s in snr_db]
+    logs = _log_pep_general(config, user, [ev for _ in N0 for ev in events],
+                            [n0 for n0 in N0 for _ in events])
+    return [[_finish(v, "general", ev).raw for v, ev in zip(row, events)]
+            for row in logs.reshape(len(N0), len(events)).tolist()]
+
+
 @dataclass(frozen=True)
 class UnionBoundValue:
     value: float            # clipped to <= 1 for reporting
@@ -91,6 +108,17 @@ class UnionBoundValue:
         return self.value
 
 
+def _sum_events(enumeration: EventEnumeration, raws: list
+                ) -> UnionBoundValue:
+    total = 0.0
+    for w, v in zip(enumeration.weights, raws):
+        total += w * v
+    raw = total / enumeration.tau
+    flagged = sum(1 for ev in enumeration.events if ev.flagged)
+    return UnionBoundValue(value=min(1.0, raw), raw=raw,
+                           tau=enumeration.tau, flagged_events=flagged)
+
+
 def union_bound(config: SystemConfig, user: int, snr_db: float,
                 pep_method: Union[str, Callable] = "auto",
                 enumeration: Optional[EventEnumeration] = None
@@ -98,17 +126,8 @@ def union_bound(config: SystemConfig, user: int, snr_db: float,
     """Weighted PEP sum over all enumerated events at one SNR point."""
     if enumeration is None:
         enumeration = enumerate_events(config, user)
-    fn = _method(config, pep_method)
-    total = 0.0
-    flagged = 0
-    for ev, w in zip(enumeration.events, enumeration.weights):
-        v = fn(config, user, ev, snr_db=snr_db)
-        total += w * v.raw
-        if ev.flagged:
-            flagged += 1
-    raw = total / enumeration.tau
-    return UnionBoundValue(value=min(1.0, raw), raw=raw,
-                           tau=enumeration.tau, flagged_events=flagged)
+    raws, = _event_raws(config, user, enumeration, [snr_db], pep_method)
+    return _sum_events(enumeration, raws)
 
 
 @dataclass(frozen=True)
@@ -126,8 +145,8 @@ def union_bound_curve(config: SystemConfig, user: int,
                       pep_method: Union[str, Callable] = "auto"
                       ) -> BoundCurve:
     enumeration = enumerate_events(config, user)
-    vals = [union_bound(config, user, s, pep_method, enumeration)
-            for s in snr_db]
+    vals = [_sum_events(enumeration, raws) for raws in
+            _event_raws(config, user, enumeration, snr_db, pep_method)]
     name = pep_method if isinstance(pep_method, str) else getattr(
         pep_method, "__name__", "custom")
     return BoundCurve(user=user, snr_db=tuple(float(s) for s in snr_db),

@@ -266,3 +266,43 @@ def test_validate_honest_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", "--only", "99", "--quick")
     assert code == 1
     assert "[FAIL]" in out and "always fails" in out
+
+
+@pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    # scipy.optimize costs every command about 0.3 s of start-up; only the
+    # union-bound crossing search of the validation suite needs it
+    import os
+    import subprocess
+    import sys
+    import lisnoma
+    src = os.path.dirname(os.path.dirname(lisnoma.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (f"import sys, {module}; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+
+
+def test_pep_quadrature_rows_carry_a_relative_tolerance(capsys,
+                                                       monkeypatch):
+    # at M = 64, 40 dB the PEP is about 8e-185, far below any absolute
+    # tolerance; the referee must be asked for a share of the value
+    from lisnoma import default_config, pep_general
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["abs_tol"])
+        return quadrature(*args, **kwargs)
+    quadrature = cli.pep_quadrature
+    monkeypatch.setattr(cli, "pep_quadrature", spy)
+    code, out, _ = run(capsys, "pep", "--M", "64", "--user", "1",
+                       "--method", "quad", "--snr", "40:40:1")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[0][4] == "quad-g"
+    cfg = default_config(M=64)
+    want = pep_general(cfg, 1, cli._canonical_cli_event(cfg, 1),
+                       snr_db=40.0).raw
+    assert asked == [pytest.approx(want * 1e-9, rel=1e-12)]
+    assert float(rows[0][1]) == pytest.approx(want, rel=1e-8)

@@ -104,6 +104,41 @@ def test_cancelled_series_falls_back_without_warnings():
         assert vals[i] == pytest.approx(want, rel=1e-7)
 
 
+@pytest.mark.parametrize("M", [1, 3, 24, 32])
+def test_banded_contour_matches_mpmath(M):
+    # one abscissa serves a whole band of arguments; bands twice as wide
+    # put the line far enough off the saddle of arguments near z = 134 and
+    # 156-161 to lose digits (about 1e-11 at M = 24 and 32)
+    import mpmath as mp
+    p = fit_gparams(M, 0.5)
+    zs = np.array([10.5, 40.0, 100.0, 134.0, 156.0, 161.0])
+    got = meijer_g_2012(zs, p.a3, p.a4, p.a5)
+    with mp.workdps(30):
+        for z, g in zip(zs, got):
+            ref = mp.meijerg([[], [p.a3]], [[p.a4, p.a5], []], z)
+            assert g == pytest.approx(float(mp.re(ref)), rel=1e-12)
+
+
+def test_value_does_not_depend_on_the_batch():
+    # a value depends on its argument alone, not on what shares its call
+    a3, a4, a5 = M3_PARAMS
+    zs = np.linspace(10.5, 120.0, 500)
+    batch = meijer_g_2012(zs, a3, a4, a5)
+    zetas = np.logspace(-2, 4, 500)
+    batch_1443 = meijer_g_1443(zetas, a3, a4, a5)
+    for i in (0, 137, 499):
+        assert meijer_g_2012(float(zs[i]), a3, a4, a5) == batch[i]
+        assert meijer_g_1443(float(zetas[i]), a3, a4, a5) == batch_1443[i]
+
+
+def test_node_doubling_raises_at_its_cap():
+    # a line 1e-7 from the pole of Gamma(s) carries a spike no affordable
+    # node spacing resolves; the doubling must fail loudly, not settle
+    a3, a4, a5 = M3_PARAMS
+    with pytest.raises(ConvergenceError, match="cap"):
+        meijer_g_1443(0.37, a3, a4, a5, abscissa=1e-7)
+
+
 def test_kernel_input_validation():
     a3, a4, a5 = M6_PARAMS
     with pytest.raises(ValueError):
@@ -155,13 +190,13 @@ def test_averaging_transform_matches_mpmath(zeta):
 def test_averaging_transform_mpmath_referee_live():
     # independent evaluation through mpmath's reciprocal-argument layout
     import mpmath as mp
-    mp.mp.dps = 25
     a3, a4, a5 = M3_PARAMS
     upper = [1 + a3 / 2, (1 + a3) / 2]
     lower = [1 + complex(a4) / 2, (1 + complex(a4)) / 2,
              1 + complex(a5) / 2, (1 + complex(a5)) / 2]
-    for zeta in (0.8, 60.0):
-        ref = mp.meijerg([[1.0], upper], [lower, []], 1.0 / zeta)
-        assert abs(float(mp.im(ref))) < 1e-20
-        got = meijer_g_1443(zeta, a3, a4, a5)
-        assert got == pytest.approx(float(mp.re(ref)), rel=1e-8)
+    with mp.workdps(25):
+        for zeta in (0.8, 60.0):
+            ref = mp.meijerg([[1.0], upper], [lower, []], 1.0 / zeta)
+            assert abs(float(mp.im(ref))) < 1e-20
+            got = meijer_g_1443(zeta, a3, a4, a5)
+            assert got == pytest.approx(float(mp.re(ref)), rel=1e-8)

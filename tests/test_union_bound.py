@@ -101,3 +101,16 @@ def test_bound_saturates_at_one_at_very_low_snr(cfg):
     b = union_bound(cfg, 2, -30.0)
     assert b.value <= 1.0
     assert b.value == pytest.approx(1.0, abs=0.3)
+
+
+@pytest.mark.parametrize("user", [1, 2])
+def test_curve_is_the_per_event_sum_of_scalar_peps(cfg6, user):
+    # the curve evaluates every event x SNR pair in one kernel call; each
+    # value must be the one a scalar call returns
+    pts = tuple(float(s) for s in range(0, 41, 4))
+    curve = union_bound_curve(cfg6, user, pts, pep_method="general")
+    en = enumerate_events(cfg6, user)
+    for s, r in zip(pts, curve.raw):
+        acc = sum(w * pep_general(cfg6, user, e, snr_db=s).raw
+                  for e, w in zip(en.events, en.weights))
+        assert r == pytest.approx(acc / en.tau, rel=1e-14)
