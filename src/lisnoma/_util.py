@@ -1,12 +1,17 @@
-"""Shared helpers: deterministic substreams, graded composite quadrature."""
+"""Shared helpers: deterministic substreams, the cascade sampler, graded
+composite quadrature."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # Fixed chunk size keeps streams bit-identical regardless of how callers
 # batch their draws.
 CHUNK = 1 << 20
+# rows per substream of the sampled-moment and density checks
+SMALL_CHUNK = 1 << 18
 
 
 class ConvergenceError(RuntimeError):
@@ -33,6 +38,38 @@ def chunk_counts(total: int, chunk: int = CHUNK):
         yield i, n
         done += n
         i += 1
+
+
+def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
+                 buf: np.ndarray) -> np.ndarray:
+    """n draws of the cascade sum: row sums of h * g over M elements.
+
+    h and g are (n, M) Rayleigh(scale) magnitudes built in ``buf`` (at
+    least 2 n M floats, reused from chunk to chunk) as scale sqrt(2 E)
+    from ``standard_exponential``. That is how ``Generator.rayleigh`` maps
+    its exponentials, so the sums and the generator's state afterwards
+    equal those of two ``rng.rayleigh(scale, (n, M))`` draws bit for bit.
+    """
+    h, g = buf[:2 * n * M].reshape(2, n, M)
+    for a in (h, g):
+        rng.standard_exponential(out=a)
+        a *= 2.0
+        np.sqrt(a, out=a)
+        a *= scale
+    h *= g
+    return h.sum(axis=1)
+
+
+def sample_sums(M: int, sigma2: float, count: int, seed: int,
+                chunk: int = CHUNK) -> np.ndarray:
+    """`count` cascade sums, one substream per chunk of `chunk` rows."""
+    scale = math.sqrt(sigma2)
+    buf = np.empty(2 * M * min(count, chunk))
+    s = np.empty(count)
+    for idx, n in chunk_counts(count, chunk):
+        s[idx * chunk:idx * chunk + n] = element_sums(
+            chunk_rng(seed, idx), n, M, scale, buf)
+    return s
 
 
 def gauss_legendre_panels(f, lo: float, hi: float, *, abs_tol: float = 1e-10,

@@ -16,17 +16,13 @@ from typing import Optional, Sequence
 from scipy import special as sp
 
 from .config import SystemConfig
-from .pep import ErrorEvent, PepValue, _fit, _resolve_n0, pep_general, pep_m1
+# pep_m1 is reached by name, through closed_form
+from .pep import (ErrorEvent, _fit, _resolve_n0, closed_form,
+                  pep_general, pep_m1)
+from .specfun import _nonpositive_int
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
-
-
-def _is_nonpositive_int(w: complex, tol: float = 1e-9) -> bool:
-    if abs(w.imag) > tol:
-        return False
-    r = round(w.real)
-    return r <= 0 and abs(w.real - r) <= tol
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     coincident = False
     for j in range(4):
         for i in range(4):
-            if i != j and _is_nonpositive_int(poles[i] - poles[j]):
+            if i != j and _nonpositive_int(poles[i] - poles[j], 1e-9):
                 coincident = True
 
     if coincident:
@@ -158,10 +154,7 @@ def diversity_order(config: SystemConfig, user: int,
     probe = _normalized_probe(config, user)
     event = _max_vartheta_event(probe, user)
     lo, hi = min(grid_db), max(grid_db)
-    if config.M == 1:
-        f = pep_m1
-    else:
-        f = pep_general
+    f = closed_form("auto", config.M, globals())
     p_lo = f(probe, user, event, snr_db=lo)
     p_hi = f(probe, user, event, snr_db=hi)
     numeric = ((math.log10(p_lo.raw) - math.log10(p_hi.raw))

@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import CHUNK, chunk_counts, chunk_rng, wilson_interval
+from ._util import (CHUNK, chunk_counts, chunk_rng, element_sums,
+                    sample_sums, wilson_interval)
 from .config import SnrGrid, SystemConfig
 from .pep import ErrorEvent, build_event, pep_conditional
 
@@ -46,27 +47,15 @@ class CascadeBatch:
             yield self[i]
 
 
-def _draw_s(rng: np.random.Generator, count: int, M: int,
-            scale: float) -> np.ndarray:
-    h = rng.rayleigh(scale, (count, M))
-    g = rng.rayleigh(scale, (count, M))
-    return (h * g).sum(axis=1)
-
-
 def sample_cascade(config: SystemConfig, user: int, count: int,
                    seed: int = 0) -> CascadeBatch:
     """Draw `count` end-to-end channel gains for one user."""
     config._check_user(user)
     if count < 1:
         raise ValueError("count must be at least 1")
-    scale = math.sqrt(config.sigma2)
+    s = sample_sums(config.M, config.sigma2, count, seed)
     # multiply by the reciprocal root so q == s * D**-0.5 holds exactly
-    rd_inv = config.distance_factor(user) ** -0.5
-    s = np.empty(count)
-    for idx, n in chunk_counts(count):
-        rng = chunk_rng(seed, idx)
-        s[idx * CHUNK:idx * CHUNK + n] = _draw_s(rng, n, config.M, scale)
-    return CascadeBatch(s, s * rd_inv)
+    return CascadeBatch(s, s * config.distance_factor(user) ** -0.5)
 
 
 @dataclass(frozen=True)
@@ -112,6 +101,7 @@ def simulate_ber(config: SystemConfig, snr, frames: int,
     roots = [math.sqrt(p) for p in config.P]
     L = config.L
     errors = np.zeros((len(snr_db), L), dtype=np.int64)
+    buf = np.empty(2 * config.M * min(frames, CHUNK))
 
     for pi, sdb in enumerate(snr_db):
         N0 = 10.0 ** (-sdb / 10.0)
@@ -123,7 +113,7 @@ def simulate_ber(config: SystemConfig, snr, frames: int,
             tx = sum(r * x for r, x in zip(roots, xs))
             for user in range(1, L + 1):
                 rng = chunk_rng(seed, pi, user, idx)
-                q = _draw_s(rng, n, config.M, scale)
+                q = element_sums(rng, n, config.M, scale, buf)
                 q /= math.sqrt(config.distance_factor(user))
                 y = q * tx + rng.normal(0.0, nstd, n)
                 residual = y
@@ -252,14 +242,13 @@ def simulate_pep(config: SystemConfig, user: int,
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    if kappa < 1.0:
-        # reused across substreams; fresh per-chunk arrays cost page faults
-        buf = np.empty(3 * M * min(trials, _TILT_CHUNK))
-    for idx, n in chunk_counts(trials,
-                               CHUNK if kappa == 1.0 else _TILT_CHUNK):
+    chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
+    # reused across substreams; fresh per-chunk arrays cost page faults
+    buf = np.empty((2 if kappa == 1.0 else 3) * M * min(trials, chunk))
+    for idx, n in chunk_counts(trials, chunk):
         rng = chunk_rng(seed, idx)
         if kappa == 1.0:
-            s_sum = _draw_s(rng, n, M, scale)
+            s_sum = element_sums(rng, n, M, scale, buf)
             vals = np.asarray(pep_conditional(s_sum / rd, event, N0=N0))
             wsum += n
             w2sum += n

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special as sp
 
-from ._util import CHUNK, chunk_counts, chunk_rng
+from ._util import SMALL_CHUNK, sample_sums
 from .asymptotics import analytic_diversity, diversity_order
 from .channel import simulate_ber, simulate_pep
 from .config import SystemConfig, default_config
@@ -25,7 +25,8 @@ from .moments import analytic_moments, empirical_moments, _mu3_listed, _mu4_list
 from .pdf_approx import (clt_params, density_cdf_table, fit_gparams,
                          ks_statistic, pdf_double_rayleigh, pdf_g,
                          quadrature_domain)
-from .pep import build_event, pep_clt, pep_general, pep_m1, pep_quadrature
+from .pep import (build_event, closed_form, pep_clt, pep_general, pep_m1,
+                  pep_quadrature)
 from .union_bound import enumerate_events, union_bound
 
 
@@ -56,16 +57,7 @@ def _result(criterion, label, passed, detail, t0, skipped=False):
 
 
 def _draw_s(M: int, sigma2: float, n: int, seed: int) -> np.ndarray:
-    scale = math.sqrt(sigma2)
-    out = np.empty(n)
-    pos = 0
-    for idx, cnt in chunk_counts(n, min(CHUNK, 1 << 18)):
-        rng = chunk_rng(seed, idx)
-        h = rng.rayleigh(scale, (cnt, M))
-        g = rng.rayleigh(scale, (cnt, M))
-        out[pos:pos + cnt] = (h * g).sum(axis=1)
-        pos += cnt
-    return out
+    return sample_sums(M, sigma2, n, seed, SMALL_CHUNK)
 
 
 def _canonical_events(config: SystemConfig):
@@ -290,7 +282,7 @@ def check_bound_dominance(quick: bool = False):
         slope_mc = math.log10(lo.value / hi.value)
         cfg = default_config(M=M)
         ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
-        fn = pep_m1 if M == 1 else pep_general
+        fn = closed_form("auto", M, globals())
         slope_cf = math.log10(fn(cfg, 1, ev, snr_db=30.0).raw
                               / fn(cfg, 1, ev, snr_db=40.0).raw)
         devs.append((M, abs(slope_mc - slope_cf) / slope_cf, slope_mc,

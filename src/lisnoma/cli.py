@@ -29,7 +29,9 @@ from .config import SnrGrid, SystemConfig, default_config, load_scenario
 from .moments import analytic_moments, empirical_moments
 from .pdf_approx import (FittingError, clt_params, fit_gparams, pdf_clt,
                          pdf_double_rayleigh, pdf_g)
-from .pep import build_event, pep_clt, pep_general, pep_m1, pep_quadrature
+# the closed forms are reached by name, through closed_form
+from .pep import (build_event, closed_form, pep_clt, pep_general, pep_m1,
+                  pep_quadrature)
 from .specfun import ConvergenceError
 from .union_bound import enumerate_events, union_bound
 
@@ -252,8 +254,10 @@ def _cmd_pep(args, parser) -> int:
         grid = SnrGrid.parse(args.snr)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.method == "m1" and cfg.M != 1:
-        parser.error("method m1 requires --M 1")
+    # quad rows take their tolerance from the closed form on their density
+    form = args.pdf_model if args.method == "quad" else args.method
+    if form in ("m1", "dr") and cfg.M != 1:
+        parser.error(f"{form} describes the single-element case; use --M 1")
     overrides.update(user=args.user, method=args.method, snr=args.snr,
                      trials=args.trials, pdf_model=args.pdf_model)
     man = _manifest(args, overrides)
@@ -271,21 +275,17 @@ def _cmd_pep(args, parser) -> int:
             rows.append(",".join((_fmt(s), _fmt(est.value), _fmt(lo),
                                   _fmt(hi), "mc")))
             continue
+        v = closed_form(form, cfg.M, globals())(cfg, args.user, event,
+                                                snr_db=s)
         if args.method == "quad":
             # tolerance as a share of the closed form on the same density,
             # since deep-tail rows sit far below any absolute tolerance
-            closed = {"g": pep_general, "dr": pep_m1,
-                      "clt": pep_clt}[args.pdf_model](
-                cfg, args.user, event, snr_db=s)
-            v = pep_quadrature(cfg, args.user, event, snr_db=s,
+            q = pep_quadrature(cfg, args.user, event, snr_db=s,
                                pdf_model=args.pdf_model,
-                               abs_tol=max(closed.raw * 1e-9, 1e-280))
+                               abs_tol=max(v.raw * 1e-9, 1e-280))
             tag = f"quad-{args.pdf_model}"
-            rows.append(",".join((_fmt(s), _fmt(v), _fmt(v), _fmt(v), tag)))
+            rows.append(",".join((_fmt(s), _fmt(q), _fmt(q), _fmt(q), tag)))
             continue
-        fn = {"general": pep_general, "m1": pep_m1,
-              "clt": pep_clt}[args.method]
-        v = fn(cfg, args.user, event, snr_db=s)
         rows.append(",".join((_fmt(s), _fmt(v.value), _fmt(v.value),
                               _fmt(v.value), v.method)))
     comments = (f"user: {args.user}",

@@ -13,26 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CHUNK, chunk_counts, chunk_rng
+from ._util import SMALL_CHUNK, chunk_counts, chunk_rng, element_sums
 
 _PI = math.pi
-
-
-def beta_moment(n: int, sigma2: float) -> float:
-    """n-th raw moment of a single element's hop product.
-
-    Only orders 1..4 are defined.
-    """
-    _check_sigma2(sigma2)
-    if n == 1:
-        return _PI * sigma2 / 2.0
-    if n == 2:
-        return 4.0 * sigma2 ** 2
-    if n == 3:
-        return 4.5 * _PI * sigma2 ** 3
-    if n == 4:
-        return 64.0 * sigma2 ** 4
-    raise ValueError("moment order must be in 1..4")
 
 
 @dataclass(frozen=True)
@@ -128,15 +111,12 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
 
     # chunk sums of S^k for k = 1..4; jackknife blocks are finer than the
     # draw chunks so runs smaller than one chunk still get an error bar
-    chunk_size = min(CHUNK, 1 << 18)
     block = max(2500, -(-int(samples) // 64))
+    buf = np.empty(2 * M * min(int(samples), SMALL_CHUNK))
     sums = []
     counts = []
-    for idx, n in chunk_counts(int(samples), chunk_size):
-        rng = chunk_rng(seed, idx)
-        h = rng.rayleigh(scale, (n, M))
-        g = rng.rayleigh(scale, (n, M))
-        s = (h * g).sum(axis=1)
+    for idx, n in chunk_counts(int(samples), SMALL_CHUNK):
+        s = element_sums(chunk_rng(seed, idx), n, M, scale, buf)
         p = np.empty((4, n))
         p[0] = s
         for k in range(1, 4):

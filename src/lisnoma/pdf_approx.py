@@ -26,9 +26,6 @@ from scipy import special as sp
 from .moments import Moments, analytic_moments
 from .specfun import meijer_g_2012
 
-# Gaussian model is intended for surfaces larger than this
-DEFAULT_CLT_MIN_M = 11
-
 _NEG_TOL = 1e-12
 
 
@@ -140,14 +137,6 @@ def gparams_moment(params: GParams, i: int) -> float:
                      + sp.loggamma(params.a5 + 1.0 + i)
                      - sp.loggamma(params.a3 + 1.0 + i)))
     return float(math.exp(val))
-
-
-def fitted_moment_ratio(params: GParams, i: int) -> float:
-    """Ratio mu_i / mu_{i-1} implied by the kernel, i >= 1."""
-    if i < 1:
-        raise ValueError("ratio order must be positive")
-    num = (params.a4 + i) * (params.a5 + i)
-    return float(np.real(params.a2 * num / (params.a3 + i)))
 
 
 def pdf_g(x, params: GParams, D: float = 1.0):

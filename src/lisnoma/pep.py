@@ -250,19 +250,40 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
     return value
 
 
+# Closed form for each method name, and for each density model of
+# pep_quadrature the closed form on that density. "auto" is the
+# single-element form at M = 1 and the general form otherwise.
+_CLOSED_FORMS = {"general": "pep_general", "m1": "pep_m1", "clt": "pep_clt",
+                 "g": "pep_general", "dr": "pep_m1"}
+
+
+def closed_form(name: str, M: int, namespace: dict):
+    """The closed-form PEP function that ``name`` selects at M elements.
+
+    The function is looked up by its name in ``namespace``, the caller's
+    ``globals()``, at call time, so a module attribute replaced after
+    import (a tracing wrapper, say) is the one that runs.
+    """
+    if name == "auto":
+        name = "m1" if M == 1 else "general"
+    if name not in _CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {name!r}: use general, m1, "
+                         "clt, auto, g, dr or a callable")
+    return namespace[_CLOSED_FORMS[name]]
+
+
 def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
                    snr_db: Optional[float] = None, pdf_model: str = "g",
-                   kernel: str = "chernoff", abs_tol: float = 1e-10,
-                   samples: int = 2_000_000, seed: int = 777) -> float:
+                   kernel: str = "chernoff", abs_tol: float = 1e-10) -> float:
     """Reference numerical average of the conditional probability.
 
     This is the referee for every closed form. ``pdf_model`` selects the
-    density of the scaled gain; integration runs over the half line
-    [0, hi] with hi leaving under 1e-9 of mass outside, on a mesh graded
-    geometrically toward 0, where the M <= 3 fitted density oscillates
-    log-periodically. Raises ConvergenceError if the mesh reaches its
-    panel cap before meeting ``abs_tol``. The ``empirical`` model
-    averages the kernel over a seeded sample instead.
+    density of the scaled gain: the fitted ``g``, the exact single-element
+    ``dr`` (M = 1 only) or the Gaussian ``clt``. Integration runs over the
+    half line [0, hi] with hi leaving under 1e-9 of mass outside, on a mesh
+    graded geometrically toward 0, where the M <= 3 fitted density
+    oscillates log-periodically. Raises ConvergenceError if the mesh reaches its
+    panel cap before meeting ``abs_tol``.
     """
     N0 = _resolve_n0(config, snr_db)
     lam = event.lam_at(N0)
@@ -277,11 +298,6 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
             return q_function(x * th / lam)
     else:
         raise ValueError("kernel must be 'chernoff' or 'exact'")
-
-    if pdf_model == "empirical":
-        from .channel import sample_cascade
-        qs = sample_cascade(config, user, samples, seed).q
-        return float(np.mean(ker(qs)))
 
     if pdf_model == "g":
         p = _fit(config.M, config.sigma2)

@@ -281,7 +281,8 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
 # ---------------------------------------------------------------------------
 # instance 1: density kernel
 
-def _nonpositive_int(x, tol=1e-12):
+def _nonpositive_int(x, tol: float) -> bool:
+    """True when x is within tol of 0, -1, -2, ..."""
     xr = complex(x)
     if abs(xr.imag) > tol:
         return False
@@ -301,7 +302,7 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
     mag = np.zeros_like(z)
 
     for b, other in ((a4, a5), (a5, a4)):
-        if _nonpositive_int(a3 - b):
+        if _nonpositive_int(a3 - b, 1e-12):
             continue  # reciprocal gamma zero kills this family
         logpref = (sp.loggamma(complex(other - b)) - sp.loggamma(complex(a3 - b))
                    + b * np.log(z) - z)

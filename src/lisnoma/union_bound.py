@@ -13,33 +13,25 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .config import SystemConfig
+# pep_m1 and pep_clt are reached by name, through closed_form
 from .pep import (ErrorEvent, _finish, _log_pep_general, _resolve_n0,
-                  build_event, pep_clt, pep_general, pep_m1)
+                  build_event, closed_form, pep_clt, pep_general, pep_m1)
 
 
 @dataclass(frozen=True)
 class EventEnumeration:
     user: int
     events: tuple           # ErrorEvent per combination
-    weights: tuple          # multiplicity weights, parallel to events
     tau: int                # total combination count
-
-    def __post_init__(self):
-        if abs(sum(self.weights) - self.tau) > 1e-9:
-            raise ValueError("weights must sum to tau")
 
 
 def enumerate_events(config: SystemConfig, user: int,
-                     sic_errors: bool = True,
-                     weighting: str = "uniform") -> EventEnumeration:
+                     sic_errors: bool = True) -> EventEnumeration:
     """All pairwise error events for one user.
 
     `sic_errors=False` keeps only perfect-cancellation events (every
     earlier user detected correctly); the full set can only be larger.
-    `weighting` is reserved; only the uniform convention is implemented.
     """
-    if weighting != "uniform":
-        raise NotImplementedError("only uniform weighting is implemented")
     config._check_user(user)
     own = config.constellation[user - 1]
     if len(own) < 2:
@@ -58,23 +50,7 @@ def enumerate_events(config: SystemConfig, user: int,
             for det in detected_space:
                 deltas = tuple(xi - di for xi, di in zip(x, det))
                 events.append(build_event(config, user, x, xbar, deltas))
-    tau = len(events)
-    return EventEnumeration(user=user, events=tuple(events),
-                            weights=(1.0,) * tau, tau=tau)
-
-
-def _method(config: SystemConfig, name: Union[str, Callable]) -> Callable:
-    if callable(name):
-        return name
-    if name == "general":
-        return pep_general
-    if name == "m1":
-        return pep_m1
-    if name == "clt":
-        return pep_clt
-    if name == "auto":
-        return pep_m1 if config.M == 1 else pep_general
-    raise ValueError("pep_method must be general, m1, clt, or a callable")
+    return EventEnumeration(user=user, events=tuple(events), tau=len(events))
 
 
 def _event_raws(config: SystemConfig, user: int,
@@ -86,7 +62,8 @@ def _event_raws(config: SystemConfig, user: int,
     points go to the kernel in one call; other forms go event by event.
     """
     events = enumeration.events
-    fn = _method(config, pep_method)
+    fn = (pep_method if callable(pep_method)
+          else closed_form(pep_method, config.M, globals()))
     if fn is not pep_general:
         return [[fn(config, user, ev, snr_db=s).raw for ev in events]
                 for s in snr_db]
@@ -111,8 +88,8 @@ class UnionBoundValue:
 def _sum_events(enumeration: EventEnumeration, raws: list
                 ) -> UnionBoundValue:
     total = 0.0
-    for w, v in zip(enumeration.weights, raws):
-        total += w * v
+    for v in raws:      # in event order, so each bound is reproducible
+        total += v
     raw = total / enumeration.tau
     flagged = sum(1 for ev in enumeration.events if ev.flagged)
     return UnionBoundValue(value=min(1.0, raw), raw=raw,
@@ -123,7 +100,7 @@ def union_bound(config: SystemConfig, user: int, snr_db: float,
                 pep_method: Union[str, Callable] = "auto",
                 enumeration: Optional[EventEnumeration] = None
                 ) -> UnionBoundValue:
-    """Weighted PEP sum over all enumerated events at one SNR point."""
+    """Mean PEP over all enumerated events at one SNR point."""
     if enumeration is None:
         enumeration = enumerate_events(config, user)
     raws, = _event_raws(config, user, enumeration, [snr_db], pep_method)

@@ -153,6 +153,8 @@ def test_pep_closed_form_curve(capsys):
 def test_pep_method_restrictions(capsys):
     assert run(capsys, "pep", "--M", "3", "--method", "m1",
                "--snr", "0:10:5")[0] == 2
+    assert run(capsys, "pep", "--M", "3", "--method", "quad",
+               "--pdf-model", "dr", "--snr", "0:10:5")[0] == 2
     assert run(capsys, "pep", "--M", "3", "--method", "general",
                "--snr", "10:0:5")[0] == 2
     assert run(capsys, "pep", "--M", "3", "--method", "general",

@@ -15,7 +15,6 @@ from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
 def test_far_user_enumeration(cfg):
     en = enumerate_events(cfg, 1)
     assert en.tau == 4
-    assert all(w == 1.0 for w in en.weights)
     got = sorted(e.vartheta for e in en.events)
     want = sorted([THETA_SMALL, THETA_SMALL, THETA_BIG, THETA_BIG])
     assert got == pytest.approx(want, rel=1e-12)
@@ -111,6 +110,6 @@ def test_curve_is_the_per_event_sum_of_scalar_peps(cfg6, user):
     curve = union_bound_curve(cfg6, user, pts, pep_method="general")
     en = enumerate_events(cfg6, user)
     for s, r in zip(pts, curve.raw):
-        acc = sum(w * pep_general(cfg6, user, e, snr_db=s).raw
-                  for e, w in zip(en.events, en.weights))
+        acc = sum(pep_general(cfg6, user, e, snr_db=s).raw
+                  for e in en.events)
         assert r == pytest.approx(acc / en.tau, rel=1e-14)
