@@ -15,8 +15,8 @@ from .pdf_approx import (CltParams, FittingError, GParams, clt_params,
 from .specfun import ConvergenceError, meijer_g_1443, meijer_g_2012
 from .pep import (ErrorEvent, PepValue, build_event, pep_clt,
                   pep_conditional, pep_general, pep_m1, pep_quadrature)
-from .channel import (BerCurve, CascadeBatch, CascadeSample, PepEstimate,
-                      sample_cascade, simulate_ber, simulate_pep)
+from .channel import (BerCurve, CascadeBatch, PepEstimate, sample_cascade,
+                      simulate_ber, simulate_pep)
 from .asymptotics import (AsymptoticPep, DiversityReport, analytic_diversity,
                           diversity_order, pep_asymptotic)
 from .union_bound import (BoundCurve, EventEnumeration, enumerate_events,
@@ -31,7 +31,7 @@ __all__ = [
     "ConvergenceError", "meijer_g_1443", "meijer_g_2012",
     "ErrorEvent", "PepValue", "build_event", "pep_clt", "pep_conditional",
     "pep_general", "pep_m1", "pep_quadrature",
-    "BerCurve", "CascadeBatch", "CascadeSample", "PepEstimate",
+    "BerCurve", "CascadeBatch", "PepEstimate",
     "sample_cascade", "simulate_ber", "simulate_pep",
     "AsymptoticPep", "DiversityReport", "analytic_diversity",
     "diversity_order", "pep_asymptotic",

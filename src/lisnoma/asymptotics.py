@@ -17,12 +17,9 @@ from scipy import special as sp
 
 from .config import SystemConfig
 # pep_m1 is reached by name, through closed_form
-from .pep import (ErrorEvent, _fit, _resolve_n0, closed_form,
-                  pep_general, pep_m1)
+from .pep import (ErrorEvent, _chernoff_args, _fit, _resolve_n0,
+                  closed_form, pep_general, pep_m1)
 from .specfun import _nonpositive_int
-
-_LN2 = math.log(2.0)
-_LNPI = math.log(math.pi)
 
 
 @dataclass(frozen=True)
@@ -48,12 +45,9 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     returned instead of a masked evaluation.
     """
     N0 = _resolve_n0(config, snr_db)
-    lam2 = 2.0 * N0 * event.delta_bar ** 2
-    D = config.distance_factor(user)
     p = _fit(config.M, config.sigma2)
-    zeta = 2.0 * p.a2 ** 2 * event.vartheta ** 2 / (D * lam2)
-    if zeta <= 0:
-        raise ValueError("degenerate event: vartheta is zero")
+    zeta, log_k = _chernoff_args(p, config.distance_factor(user), [event],
+                                 [N0])
 
     a3, a4, a5 = complex(p.a3), complex(p.a4), complex(p.a5)
     poles = (1 + a4 / 2, (1 + a4) / 2, 1 + a5 / 2, (1 + a5) / 2)
@@ -71,8 +65,7 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
                              exponents=tuple(poles[i] for i in order),
                              coincident=True, fell_back=True)
 
-    log_k = (p.log_a1 + math.log(p.a2) + (p.a6 - p.a3) * _LN2 - 0.5 * _LNPI)
-    lz = math.log(zeta)
+    lz = math.log(zeta[0])
     terms = []
     for j in range(4):
         qj = poles[j]

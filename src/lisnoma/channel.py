@@ -11,40 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._util import (CHUNK, chunk_counts, chunk_rng, element_sums,
                     sample_sums, wilson_interval)
 from .config import SnrGrid, SystemConfig
-from .pep import ErrorEvent, build_event, pep_conditional
+from .moments import analytic_moments
+from .pep import ErrorEvent, _resolve_n0, pep_conditional
 
 
-@dataclass(frozen=True)
-class CascadeSample:
-    s: float
-    q: float
-
-
+@dataclass(frozen=True, eq=False)
 class CascadeBatch:
-    """Vector of cascade draws; iterates as CascadeSample views."""
+    """Cascade draws: the sums ``s`` and the scaled gains q = s / sqrt(D)."""
 
-    __slots__ = ("s", "q")
-
-    def __init__(self, s: np.ndarray, q: np.ndarray):
-        self.s = s
-        self.q = q
-
-    def __len__(self) -> int:
-        return self.s.size
-
-    def __getitem__(self, i) -> CascadeSample:
-        return CascadeSample(float(self.s[i]), float(self.q[i]))
-
-    def __iter__(self):
-        for i in range(self.s.size):
-            yield self[i]
+    s: np.ndarray
+    q: np.ndarray
 
 
 def sample_cascade(config: SystemConfig, user: int, count: int,
@@ -179,43 +162,29 @@ def _auto_tilt(M: int, r: float) -> float:
     return 1.0
 
 
-def simulate_pep(config: SystemConfig, user: int,
-                 pair: Optional[Tuple[float, float]] = None,
-                 interference: Optional[ErrorEvent] = None,
+def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
                  snr_db: Optional[float] = None,
                  trials: int = 1_000_000, seed: int = 0,
-                 importance: Optional[object] = None) -> PepEstimate:
+                 importance: bool = False) -> PepEstimate:
     """Unbiased Monte Carlo estimate of the exact unconditional PEP.
 
-    The event comes either from `interference` (a prebuilt ErrorEvent) or
-    from `pair` = (x, xbar) with all other users transmitting their first
-    constellation symbol and perfect SIC. `importance` = kappa in (0, 1)
-    draws each element product from a proposal whose mean element sum is
-    kappa times the true one and reweights exactly; the weight depends on
+    `interference` is the user's error event, built with `build_event`.
+    With `importance` set, each element product may be drawn from a
+    proposal whose mean element sum is kappa times the true one, kappa
+    chosen by `_auto_tilt`, and reweighted exactly; the weight depends on
     the element products and their hop split only, never on the raw
     magnitudes, which is what makes deep-tail points reachable at any M.
-    True picks kappa automatically (see `_auto_tilt`); kappa = 1 is plain
-    sampling. Tilting is skipped for flagged events, where the estimand
-    is not small.
+    Tilting is skipped for flagged events, where the estimand is not
+    small, and kappa = 1 is plain sampling.
     """
     config._check_user(user)
-    if interference is None:
-        if pair is None:
-            raise ValueError("need either pair or interference")
-        x = [c[0] for c in config.constellation]
-        x[user - 1] = float(pair[0])
-        event = build_event(config, user, x, pair[1])
-    else:
-        event = interference
-        if event.user != user:
-            raise ValueError("interference event is for a different user")
-        if pair is not None and (abs(event.x[user - 1] - pair[0]) > 1e-12
-                                 or abs(event.xbar - pair[1]) > 1e-12):
-            raise ValueError("pair disagrees with the interference event")
+    event = interference
+    if event.user != user:
+        raise ValueError("interference event is for a different user")
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    N0 = config.N0 if snr_db is None else 10.0 ** (-float(snr_db) / 10.0)
+    N0 = _resolve_n0(config, snr_db)
     lam = event.lam_at(N0)
     th = event.vartheta
     sigma2 = config.sigma2
@@ -225,14 +194,8 @@ def simulate_pep(config: SystemConfig, user: int,
 
     kappa = 1.0
     if importance and not event.flagged:
-        if importance is True or importance == "auto":
-            from .moments import analytic_moments
-            mu1 = analytic_moments(M, sigma2).mu1
-            kappa = _auto_tilt(M, lam * rd / (abs(th) * mu1))
-        else:
-            kappa = float(importance)
-            if not 0.0 < kappa <= 1.0:
-                raise ValueError("importance tilt must be in (0, 1]")
+        mu1 = analytic_moments(M, sigma2).mu1
+        kappa = _auto_tilt(M, lam * rd / (abs(th) * mu1))
 
     # the untilted mean of w is pi/4, so the Gamma(2, s) mean 2s is kappa
     # times it; draws are in units of s

@@ -56,10 +56,6 @@ def _result(criterion, label, passed, detail, t0, skipped=False):
                        skipped=skipped)
 
 
-def _draw_s(M: int, sigma2: float, n: int, seed: int) -> np.ndarray:
-    return sample_sums(M, sigma2, n, seed, SMALL_CHUNK)
-
-
 def _canonical_events(config: SystemConfig):
     """Largest-separation user-1 event and the clean user-2 event."""
     e1 = build_event(config, 1, (1.0, 1.0), -1.0)
@@ -129,7 +125,7 @@ def check_density_fit(quick: bool = False):
         params = fit_gparams(M, sigma2)
         hi = quadrature_domain(M, sigma2)
         xs, cdf = density_cdf_table(lambda x: pdf_g(x, params), hi)
-        sample = _draw_s(M, sigma2, samples, seed=303 + M)
+        sample = sample_sums(M, sigma2, samples, 303 + M, SMALL_CHUNK)
         ks = ks_statistic(sample, xs, cdf)
         if ks > worst[1]:
             worst = (f"M={M}", ks)
@@ -165,7 +161,7 @@ def check_density_fit(quick: bool = False):
         return out
     M = 15
     cp = clt_params(M, sigma2)
-    sample = np.sort(_draw_s(M, sigma2, samples, seed=404))
+    sample = np.sort(sample_sums(M, sigma2, samples, 404, SMALL_CHUNK))
     z = (sample - cp.mu_bar) / math.sqrt(cp.sigma_bar2)
     F = sp.ndtr(z)
     n = len(sample)
@@ -237,8 +233,7 @@ def _closed_forms(M: int):
     if M == 1:
         forms.append(("m1", pep_m1))
     if M > 10:
-        forms.append(("clt", lambda c, u, e, snr_db: pep_clt(
-            c, u, e, snr_db=snr_db, variant="scaled")))
+        forms.append(("clt", pep_clt))     # the scaled variant
     return forms
 
 

@@ -26,7 +26,7 @@ from . import __version__, checks
 from .asymptotics import analytic_diversity, diversity_order
 from .channel import sample_cascade, simulate_ber, simulate_pep
 from .config import SnrGrid, SystemConfig, default_config, load_scenario
-from .moments import analytic_moments, empirical_moments
+from .moments import MIN_SAMPLES, analytic_moments, empirical_moments
 from .pdf_approx import (FittingError, clt_params, fit_gparams, pdf_clt,
                          pdf_double_rayleigh, pdf_g)
 # the closed forms are reached by name, through closed_form
@@ -98,7 +98,7 @@ def _resolve_seed(args) -> int:
 
 
 def _build_config(args, parser) -> tuple:
-    """Scenario plus explicit overrides; argument errors exit 2 here."""
+    """Scenario, overrides and user index; argument errors exit 2 here."""
     overrides = {}
     try:
         if getattr(args, "scenario", None):
@@ -117,6 +117,8 @@ def _build_config(args, parser) -> tuple:
             p1 = float(args.p1)
             cfg = cfg.replace(P=(p1, 1.0 - p1))
             overrides["p1"] = p1
+        if getattr(args, "user", None) is not None:
+            cfg._check_user(args.user)
     except (OSError, TypeError, ValueError) as exc:
         # unreadable or malformed scenario files are argument errors too
         parser.error(str(exc))
@@ -131,6 +133,14 @@ def _manifest(args, overrides, output=None) -> RunManifest:
         seed=_resolve_seed(args),
         output=output if output is not None else (args.out or "-"),
         version=__version__)
+
+
+def _count(text: str) -> int:
+    """argparse type of a sample, trial or frame count: at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {n}")
+    return n
 
 
 def _parse_value_grid(text: str):
@@ -156,6 +166,8 @@ def _canonical_cli_event(cfg: SystemConfig, user: int):
 
 def _cmd_moments(args, parser) -> int:
     cfg, overrides = _build_config(args, parser)
+    if args.samples and args.samples < MIN_SAMPLES:
+        parser.error(f"--samples must be 0 or at least {MIN_SAMPLES}")
     overrides["samples"] = args.samples
     man = _manifest(args, overrides)
     mom = analytic_moments(cfg.M, cfg.sigma2)
@@ -212,11 +224,6 @@ def _cmd_pdf(args, parser) -> int:
     cfg, overrides = _build_config(args, parser)
     if args.model == "dr" and cfg.M != 1:
         parser.error("model dr describes the single-element case; use --M 1")
-    if args.user is not None:
-        try:
-            cfg._check_user(args.user)
-        except ValueError as exc:
-            parser.error(str(exc))
     try:
         xs = _parse_value_grid(args.grid)
     except ValueError as exc:
@@ -250,7 +257,6 @@ def _cmd_pdf(args, parser) -> int:
 def _cmd_pep(args, parser) -> int:
     cfg, overrides = _build_config(args, parser)
     try:
-        cfg._check_user(args.user)
         grid = SnrGrid.parse(args.snr)
     except ValueError as exc:
         parser.error(str(exc))
@@ -298,10 +304,6 @@ def _cmd_pep(args, parser) -> int:
 
 def _cmd_diversity(args, parser) -> int:
     cfg, overrides = _build_config(args, parser)
-    try:
-        cfg._check_user(args.user)
-    except ValueError as exc:
-        parser.error(str(exc))
     overrides.update(user=args.user, numeric=bool(args.numeric))
     man = _manifest(args, overrides)
     payload = {"M": cfg.M, "user": args.user,
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True, help="value grid start:stop:count")
     sp.add_argument("--user", type=int, default=None,
                     help="apply this user's distance factor (default: none)")
-    sp.add_argument("--samples", type=int, default=1_000_000,
+    sp.add_argument("--samples", type=_count, default=1_000_000,
                     help="sample count for the mc model")
     sp.set_defaults(func=_cmd_pdf)
 
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", required=True,
                     choices=("general", "m1", "clt", "quad", "mc"))
     sp.add_argument("--snr", required=True, help="SNR grid start:stop:step (dB)")
-    sp.add_argument("--trials", type=int, default=1_000_000)
+    sp.add_argument("--trials", type=_count, default=1_000_000)
     sp.add_argument("--pdf-model", dest="pdf_model", default="g",
                     choices=("g", "dr", "clt"),
                     help="density used by the quad method")
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("bound", "mc", "both"))
     sp.add_argument("--p1", type=float, default=None,
                     help="power share of the far user")
-    sp.add_argument("--frames", type=int, default=200_000)
+    sp.add_argument("--frames", type=_count, default=200_000)
     sp.set_defaults(func=_cmd_ber)
 
     sp = sub.add_parser("validate", help="run the cross-model check suite")

@@ -93,6 +93,10 @@ class EmpiricalMoments:
         return self.mu
 
 
+# fewest samples the jackknife standard errors are computed from
+MIN_SAMPLES = 10_000
+
+
 def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
                       seed: int = 0) -> EmpiricalMoments:
     """Monte Carlo raw moments of S with jackknife standard errors.
@@ -104,7 +108,7 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
     _check_sigma2(sigma2)
-    if samples < 10_000:
+    if samples < MIN_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     M = int(M)
     scale = math.sqrt(float(sigma2))

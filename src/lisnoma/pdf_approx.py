@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .moments import Moments, analytic_moments
+from .moments import analytic_moments
 from .specfun import meijer_g_2012
 
 _NEG_TOL = 1e-12
@@ -69,13 +69,8 @@ class GParams:
 
 
 def fit_gparams(M: int, sigma2: float = 0.5) -> GParams:
-    mom = analytic_moments(M, sigma2)
-    return fit_from_moments(mom, M=M, sigma2=sigma2)
-
-
-def fit_from_moments(mom: Moments, M: int = 0, sigma2: float = 0.0) -> GParams:
     """Closed-form solution of the four moment-ratio equations."""
-    mu1, mu2, mu3, mu4 = mom.as_tuple()
+    mu1, mu2, mu3, mu4 = analytic_moments(M, sigma2).as_tuple()
     if min(mu1, mu2, mu3, mu4) <= 0:
         raise FittingError("moments must be positive")
     p2 = mu2 / mu1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -146,6 +146,22 @@ def _finish(raw_log: float, method: str, event: ErrorEvent) -> PepValue:
                     method=method, flagged=event.flagged)
 
 
+def _chernoff_args(p: GParams, D: float, events: Sequence[ErrorEvent],
+                   N0: Sequence[float]):
+    """Kernel argument zeta of each (event, N0) pair, and the log scale.
+
+    The general-M Chernoff bound is exp(log_k) * G(zeta) with the
+    averaged kernel G; ``p`` is the fit and ``D`` the distance factor.
+    """
+    zeta = np.array([2.0 * p.a2 ** 2 * ev.vartheta ** 2
+                     / (D * (2.0 * n0 * ev.delta_bar ** 2))
+                     for ev, n0 in zip(events, N0)])
+    if np.any(zeta <= 0):
+        raise ValueError("degenerate event: vartheta is zero")
+    log_k = (p.log_a1 + math.log(p.a2) + (p.a6 - p.a3) * _LN2 - 0.5 * _LNPI)
+    return zeta, log_k
+
+
 def _log_pep_general(config: SystemConfig, user: int,
                      events: Sequence[ErrorEvent],
                      N0: Sequence[float]) -> np.ndarray:
@@ -153,17 +169,11 @@ def _log_pep_general(config: SystemConfig, user: int,
 
     All pairs go to the averaged kernel in one call.
     """
-    D = config.distance_factor(user)
     p = _fit(config.M, config.sigma2)
-    zeta = np.array([2.0 * p.a2 ** 2 * ev.vartheta ** 2
-                     / (D * (2.0 * n0 * ev.delta_bar ** 2))
-                     for ev, n0 in zip(events, N0)])
-    if np.any(zeta <= 0):
-        raise ValueError("degenerate event: vartheta is zero")
+    zeta, log_k = _chernoff_args(p, config.distance_factor(user), events, N0)
     log_g, sign, _ = meijer_g_1443_log(zeta, p.a3, p.a4, p.a5)
     if np.any(sign <= 0):
         raise ValueError("kernel evaluation lost positivity")
-    log_k = (p.log_a1 + math.log(p.a2) + (p.a6 - p.a3) * _LN2 - 0.5 * _LNPI)
     return log_k + log_g
 
 
@@ -241,13 +251,9 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
     else:
         raise ValueError("variant must be 'scaled' or 'unscaled'")
 
-    value = _finish(log_raw, f"clt-{variant}", event)
-    if config.M <= 10:
-        # outside the intended regime; callers may inspect the method tag
-        return PepValue(value=value.value, raw=value.raw,
-                        log_raw=value.log_raw, method=value.method + "-small-M",
-                        flagged=value.flagged)
-    return value
+    # M <= 10 is outside the intended regime; the method tag says so
+    small = "-small-M" if config.M <= 10 else ""
+    return _finish(log_raw, f"clt-{variant}{small}", event)
 
 
 # Closed form for each method name, and for each density model of
@@ -268,7 +274,7 @@ def closed_form(name: str, M: int, namespace: dict):
         name = "m1" if M == 1 else "general"
     if name not in _CLOSED_FORMS:
         raise ValueError(f"unknown closed form {name!r}: use general, m1, "
-                         "clt, auto, g, dr or a callable")
+                         "clt, auto, g or dr")
     return namespace[_CLOSED_FORMS[name]]
 
 
@@ -285,39 +291,26 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     oscillates log-periodically. Raises ConvergenceError if the mesh reaches its
     panel cap before meeting ``abs_tol``.
     """
+    if kernel not in ("chernoff", "exact"):
+        raise ValueError("kernel must be 'chernoff' or 'exact'")
     N0 = _resolve_n0(config, snr_db)
-    lam = event.lam_at(N0)
-    th = event.vartheta
     D = config.distance_factor(user)
 
-    if kernel == "chernoff":
-        def ker(x):
-            return np.exp(-(x * th) ** 2 / (2.0 * lam * lam))
-    elif kernel == "exact":
-        def ker(x):
-            return q_function(x * th / lam)
-    else:
-        raise ValueError("kernel must be 'chernoff' or 'exact'")
-
+    # partial looks each density up here, so a replaced module attribute
+    # (a tracing wrapper, say) is the one that runs
     if pdf_model == "g":
-        p = _fit(config.M, config.sigma2)
-
-        def density(x):
-            return pdf_g(x, p, D=D)
+        density = partial(pdf_g, params=_fit(config.M, config.sigma2), D=D)
     elif pdf_model == "dr":
         if config.M != 1:
             raise ValueError("the exact single-element density needs M = 1")
-
-        def density(x):
-            return pdf_double_rayleigh(x, config.sigma2, D=D)
+        density = partial(pdf_double_rayleigh, sigma2=config.sigma2, D=D)
     elif pdf_model == "clt":
-        cp = _clt(config.M, config.sigma2)
-
-        def density(x):
-            return pdf_clt(x, cp, D=D)
+        density = partial(pdf_clt, params=_clt(config.M, config.sigma2), D=D)
     else:
         raise ValueError("unknown pdf model")
 
     hi = quadrature_domain(config.M, config.sigma2, D)
-    return gauss_legendre_panels(lambda x: ker(x) * density(x), 0.0, hi,
-                                 abs_tol=abs_tol)
+    exact = kernel == "exact"
+    return gauss_legendre_panels(
+        lambda x: pep_conditional(x, event, exact, N0) * density(x), 0.0, hi,
+        abs_tol=abs_tol)

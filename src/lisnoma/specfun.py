@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy import special as sp
 
@@ -231,7 +229,9 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
 
     ``z`` is a 1-D array of positive arguments. Returns (log_abs, sign,
     specs): two arrays shaped like ``z`` and one MellinBarnesSpec per
-    argument band, in increasing order of the band.
+    argument band, in increasing order of the band. ``abscissa`` puts
+    every band's line at one fixed Re s inside the strip in place of its
+    saddle; ``rtol`` is the node-doubling tolerance.
     """
     z = np.asarray(z, dtype=float)
     if np.any(~(z > 0)):
@@ -336,12 +336,15 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
     return result, err
 
 
-def meijer_g_2012(x, a3, a4, a5, method: str = "auto", rtol: float = 1e-10):
+def meijer_g_2012(x, a3, a4, a5):
     """Meijer G with one upper parameter (a3) and two lower (a4, a5).
 
     Accepts scalar or array ``x >= 0``. The lower pair may be a complex
-    conjugate pair; the value is real either way. ``method`` is one of
-    ``auto``, ``series``, ``contour``.
+    conjugate pair; the value is real either way. Points with 0 < x <= 10
+    take the residue series, unless a4 - a5 is within 1e-6 of an integer
+    (where the series is invalid); a point whose series error estimate
+    exceeds 1e-11, and every other positive point, takes the contour at
+    a relative tolerance of 1e-10.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0):
@@ -351,39 +354,20 @@ def meijer_g_2012(x, a3, a4, a5, method: str = "auto", rtol: float = 1e-10):
 
     diff = complex(a4) - complex(a5)
     near_int = abs(diff.imag) < 1e-6 and abs(diff.real - round(diff.real)) < 1e-6
-    series_ok = not near_int
-
-    if method not in ("auto", "series", "contour"):
-        raise ValueError("unknown method")
-    if method == "series" and not series_ok:
-        raise ConvergenceError(
-            "residue series is invalid when the lower parameters differ "
-            "by an integer")
-
-    use_series = np.zeros_like(x_arr, dtype=bool)
-    if series_ok and method in ("auto", "series"):
-        cap = np.inf if method == "series" else 10.0
-        use_series = pos & (x_arr <= cap)
+    use_series = pos & (x_arr <= 10.0) & (not near_int)
 
     if use_series.any():
         vals, err = _series_2012(x_arr[use_series], a3, a4, a5)
         # the estimate can be optimistic by ~1e2 under heavy cross-family
         # cancellation, so the cutoff stays two decades under the target
         bad = err > 1e-11
-        if bad.any():
-            if method == "series":
-                raise ConvergenceError("residue series lost too many digits")
-            idx = np.flatnonzero(use_series)
-            use_series[idx[bad]] = False
-            vals = vals[~bad]
-        out[use_series] = vals
+        use_series[np.flatnonzero(use_series)[bad]] = False
+        out[use_series] = vals[~bad]
 
     rest = pos & ~use_series
-    if method == "series" and rest.any():
-        raise ConvergenceError("residue series unavailable for some points")
     if rest.any():
         log_abs, sign, _ = _contour_log(x_arr[rest], plus=(a4, a5),
-                                        den_plus=(a3,), rtol=rtol)
+                                        den_plus=(a3,))
         out[rest] = sign * np.exp(log_abs)
 
     if np.isscalar(x) or np.ndim(x) == 0:
@@ -402,39 +386,33 @@ def _offsets_1443(a3, a4, a5):
     return plus, minus, den_minus
 
 
-def meijer_g_1443_log(zeta, a3, a4, a5, abscissa: Optional[float] = None,
-                      rtol: float = 1e-9):
+def meijer_g_1443_log(zeta, a3, a4, a5):
     """Log-space evaluation of the Chernoff kernel, (log_abs, sign, spec).
 
     ``zeta`` may be a scalar or an array. For a scalar the result is two
     floats and the MellinBarnesSpec of its band; for an array it is two
-    arrays shaped like ``zeta`` and a tuple of one spec per band.
+    arrays shaped like ``zeta`` and a tuple of one spec per band. The
+    contour's relative tolerance is 1e-9.
     """
     plus, minus, den_minus = _offsets_1443(a3, a4, a5)
     log_abs, sign, specs = _contour_log(
         np.ravel(np.asarray(zeta, dtype=float)), plus=plus, minus=minus,
-        den_minus=den_minus, abscissa=abscissa, rtol=rtol)
+        den_minus=den_minus, rtol=1e-9)
     if np.ndim(zeta) == 0:
         return float(log_abs[0]), float(sign[0]), specs[0]
     shape = np.shape(zeta)
     return log_abs.reshape(shape), sign.reshape(shape), specs
 
 
-def meijer_g_1443(zeta, a3, a4, a5, abscissa: Optional[float] = None,
-                  rtol: float = 1e-9, full_output: bool = False):
+def meijer_g_1443(zeta, a3, a4, a5):
     """Meijer G with four upper and three lower parameters.
 
-    Accepts scalar or array ``zeta > 0``. Evaluated by contour quadrature
-    with node doubling until the relative change drops below ``rtol``.
-    ``abscissa`` overrides the automatic anchor; it must lie inside the
-    strip between the pole families. ``full_output`` adds the
-    MellinBarnesSpec (a tuple of one per band for an array argument).
+    Accepts scalar or array ``zeta > 0``. Evaluated by contour quadrature,
+    each band's line anchored near its saddle, with node doubling until
+    the relative change drops below 1e-9.
     """
-    log_abs, sign, spec = meijer_g_1443_log(zeta, a3, a4, a5,
-                                            abscissa=abscissa, rtol=rtol)
+    log_abs, sign, _ = meijer_g_1443_log(zeta, a3, a4, a5)
     val = sign * np.exp(log_abs)
     if np.ndim(zeta) == 0:
         val = float(val)
-    if full_output:
-        return val, spec
     return val

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .config import SystemConfig
-# pep_m1 and pep_clt are reached by name, through closed_form
-from .pep import (ErrorEvent, _finish, _log_pep_general, _resolve_n0,
-                  build_event, closed_form, pep_clt, pep_general, pep_m1)
+# pep_m1 is reached by name, through closed_form
+from .pep import (_finish, _log_pep_general, _resolve_n0, build_event,
+                  closed_form, pep_general, pep_m1)
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,13 @@ class EventEnumeration:
     tau: int                # total combination count
 
 
-def enumerate_events(config: SystemConfig, user: int,
-                     sic_errors: bool = True) -> EventEnumeration:
+def enumerate_events(config: SystemConfig, user: int) -> EventEnumeration:
     """All pairwise error events for one user.
 
-    `sic_errors=False` keeps only perfect-cancellation events (every
-    earlier user detected correctly); the full set can only be larger.
+    Every transmitted tuple, every wrong hypothesis for the user's own
+    symbol, and every decision tuple of the users detected before it:
+    the perfect-cancellation events are those whose ``sic_errors`` are
+    all zero.
     """
     config._check_user(user)
     own = config.constellation[user - 1]
@@ -42,28 +43,22 @@ def enumerate_events(config: SystemConfig, user: int,
         for xbar in own:
             if abs(xbar - x[user - 1]) <= 1e-12:
                 continue
-            if sic_errors:
-                detected_space = itertools.product(
-                    *config.constellation[:user - 1])
-            else:
-                detected_space = [tuple(x[:user - 1])]
-            for det in detected_space:
+            for det in itertools.product(*config.constellation[:user - 1]):
                 deltas = tuple(xi - di for xi, di in zip(x, det))
                 events.append(build_event(config, user, x, xbar, deltas))
     return EventEnumeration(user=user, events=tuple(events), tau=len(events))
 
 
 def _event_raws(config: SystemConfig, user: int,
-                enumeration: EventEnumeration, snr_db: Sequence[float],
-                pep_method: Union[str, Callable]) -> list:
+                enumeration: EventEnumeration,
+                snr_db: Sequence[float]) -> list:
     """Raw PEP of every event at every SNR point, one row per SNR point.
 
-    When the method resolves to the general form, all events x SNR
-    points go to the kernel in one call; other forms go event by event.
+    At M = 1 the single-element form runs event by event; otherwise all
+    events x SNR points go to the general form's kernel in one call.
     """
     events = enumeration.events
-    fn = (pep_method if callable(pep_method)
-          else closed_form(pep_method, config.M, globals()))
+    fn = closed_form("auto", config.M, globals())
     if fn is not pep_general:
         return [[fn(config, user, ev, snr_db=s).raw for ev in events]
                 for s in snr_db]
@@ -97,13 +92,12 @@ def _sum_events(enumeration: EventEnumeration, raws: list
 
 
 def union_bound(config: SystemConfig, user: int, snr_db: float,
-                pep_method: Union[str, Callable] = "auto",
                 enumeration: Optional[EventEnumeration] = None
                 ) -> UnionBoundValue:
     """Mean PEP over all enumerated events at one SNR point."""
     if enumeration is None:
         enumeration = enumerate_events(config, user)
-    raws, = _event_raws(config, user, enumeration, [snr_db], pep_method)
+    raws, = _event_raws(config, user, enumeration, [snr_db])
     return _sum_events(enumeration, raws)
 
 
@@ -114,19 +108,19 @@ class BoundCurve:
     value: tuple
     raw: tuple
     tau: int
-    method: str
 
 
 def union_bound_curve(config: SystemConfig, user: int,
-                      snr_db: Sequence[float],
-                      pep_method: Union[str, Callable] = "auto"
-                      ) -> BoundCurve:
+                      snr_db: Sequence[float]) -> BoundCurve:
+    """The union bound at every SNR point, from one event enumeration.
+
+    Each point equals ``union_bound`` at that SNR. At M > 1 every event
+    at every point goes to the averaged kernel in one call.
+    """
     enumeration = enumerate_events(config, user)
     vals = [_sum_events(enumeration, raws) for raws in
-            _event_raws(config, user, enumeration, snr_db, pep_method)]
-    name = pep_method if isinstance(pep_method, str) else getattr(
-        pep_method, "__name__", "custom")
+            _event_raws(config, user, enumeration, snr_db)]
     return BoundCurve(user=user, snr_db=tuple(float(s) for s in snr_db),
                       value=tuple(v.value for v in vals),
                       raw=tuple(v.raw for v in vals),
-                      tau=enumeration.tau, method=name)
+                      tau=enumeration.tau)

@@ -161,6 +161,18 @@ def test_pep_method_restrictions(capsys):
                "--snr", "0:10:5", "--user", "7")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("moments", "--samples", "5000"),
+    ("pdf", "--model", "mc", "--grid", "0:5:10", "--samples", "0"),
+    ("ber", "--method", "mc", "--snr", "0:10:5", "--frames", "0"),
+    ("pep", "--method", "mc", "--snr", "0:10:5", "--trials", "0"),
+])
+def test_out_of_range_counts_are_argument_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage:" in err
+
+
 def test_pep_simulation_reports_an_interval(capsys):
     code, out, _ = run(capsys, "pep", "--M", "3", "--method", "mc",
                        "--snr", "0:6:3", "--trials", "20000", "--seed", "2")

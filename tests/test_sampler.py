@@ -13,8 +13,7 @@ import numpy as np
 
 from lisnoma import (build_event, default_config, empirical_moments,
                      sample_cascade, simulate_ber, simulate_pep)
-from lisnoma import checks
-from lisnoma._util import CHUNK
+from lisnoma._util import CHUNK, SMALL_CHUNK, sample_sums
 
 SMALL = 1 << 18     # rows per substream of the moment and density checks
 
@@ -58,7 +57,8 @@ def _digests() -> dict:
         "simulate_ber": _digest([c.errors for c in ber.values()]),
         "empirical_moments.mu": _digest(emp.mu),
         "empirical_moments.se": _digest(emp.se),
-        "check3_draw": _digest(checks._draw_s(6, 0.5, SMALL + 999, seed=309)),
+        "check3_draw": _digest(sample_sums(6, 0.5, SMALL + 999, 309,
+                                           SMALL_CHUNK)),
     }
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from lisnoma import fit_gparams
 from lisnoma.pdf_approx import pdf_g, quadrature_domain
-from lisnoma.specfun import ConvergenceError, meijer_g_1443, meijer_g_2012
+from lisnoma.specfun import (ConvergenceError, _contour_log, _offsets_1443,
+                             _series_2012, meijer_g_1443, meijer_g_2012)
 
 # shape parameters of the fitted kernels these engines exist for
 M3_PARAMS = (5.6832113559305000221,
@@ -37,6 +38,23 @@ def _params(name):
     return {"M3": M3_PARAMS, "M6": M6_PARAMS}[name]
 
 
+def _contour_2012(z, a3, a4, a5):
+    # the density kernel on its contour path alone, at its 1e-10 tolerance
+    log_abs, sign, _ = _contour_log(np.array([z]), plus=(a4, a5),
+                                    den_plus=(a3,))
+    return float(sign[0] * np.exp(log_abs[0]))
+
+
+def _contour_1443(zeta, a3, a4, a5, abscissa=None):
+    # the Chernoff kernel at its 1e-9 tolerance, on a line fixed at
+    # ``abscissa`` or, by default, anchored at the band's saddle
+    plus, minus, den_minus = _offsets_1443(a3, a4, a5)
+    log_abs, sign, specs = _contour_log(
+        np.array([zeta]), plus=plus, minus=minus, den_minus=den_minus,
+        abscissa=abscissa, rtol=1e-9)
+    return float(sign[0] * np.exp(log_abs[0])), specs[0]
+
+
 @pytest.mark.parametrize("name,z", sorted(REFERENCE))
 def test_kernel_matches_mpmath(name, z):
     a3, a4, a5 = _params(name)
@@ -47,7 +65,7 @@ def test_kernel_matches_mpmath(name, z):
 @pytest.mark.parametrize("name,z", sorted(REFERENCE))
 def test_contour_path_matches_mpmath_tightly(name, z):
     a3, a4, a5 = _params(name)
-    got = float(meijer_g_2012(np.array([z]), a3, a4, a5, method="contour")[0])
+    got = _contour_2012(z, a3, a4, a5)
     assert got == pytest.approx(REFERENCE[(name, z)], rel=1e-12)
 
 
@@ -64,24 +82,25 @@ def test_series_and_contour_paths_agree():
     a3, a4, a5 = M3_PARAMS
     agreed = 0
     for z in np.linspace(0.5, 9.5, 10):
-        ref = float(meijer_g_2012(np.array([z]), a3, a4, a5,
-                                  method="contour")[0])
-        try:
-            got = float(meijer_g_2012(np.array([z]), a3, a4, a5,
-                                      method="series")[0])
-        except ConvergenceError:
+        ref = _contour_2012(z, a3, a4, a5)
+        got, err = _series_2012(np.array([z]), a3, a4, a5)
+        if err[0] > 1e-11:      # the cutoff past which auto mode declines
             continue
-        assert got == pytest.approx(ref, rel=1e-8)
+        assert got[0] == pytest.approx(ref, rel=1e-8)
         agreed += 1
     assert agreed >= 5
 
 
-def test_series_refuses_integer_separated_parameters():
-    with pytest.raises(ConvergenceError, match="integer"):
-        meijer_g_2012(np.array([2.0]), 5.0, 3.0, 2.0, method="series")
-    # the automatic path must still deliver a value there
-    v = float(meijer_g_2012(np.array([2.0]), 5.0, 3.0, 2.0)[0])
-    assert v > 0
+def test_integer_separated_parameters_take_the_contour():
+    # the residue series is invalid when a4 - a5 is an integer; auto mode
+    # must send such points to the contour and still meet its tolerance
+    import mpmath as mp
+    zs = np.array([0.5, 2.0, 9.0, 25.0])
+    got = meijer_g_2012(zs, 5.0, 3.0, 2.0)
+    with mp.workdps(30):
+        for z, g in zip(zs, got):
+            ref = mp.meijerg([[], [5.0]], [[3.0, 2.0], []], z)
+            assert g == pytest.approx(float(mp.re(ref)), rel=1e-12)
 
 
 def test_cancelled_series_falls_back_without_warnings():
@@ -136,7 +155,7 @@ def test_node_doubling_raises_at_its_cap():
     # node spacing resolves; the doubling must fail loudly, not settle
     a3, a4, a5 = M3_PARAMS
     with pytest.raises(ConvergenceError, match="cap"):
-        meijer_g_1443(0.37, a3, a4, a5, abscissa=1e-7)
+        _contour_1443(0.37, a3, a4, a5, abscissa=1e-7)
 
 
 def test_kernel_input_validation():
@@ -151,10 +170,11 @@ def test_kernel_input_validation():
 def test_averaging_transform_abscissa_independence():
     # the contour value must not depend on where the line is anchored
     a3, a4, a5 = M3_PARAMS
-    base, spec = meijer_g_1443(0.37, a3, a4, a5, full_output=True)
+    base, spec = _contour_1443(0.37, a3, a4, a5)
+    assert base == meijer_g_1443(0.37, a3, a4, a5)
     for shift in (-0.1, 0.1):
-        moved = meijer_g_1443(0.37, a3, a4, a5,
-                              abscissa=spec.abscissa + shift)
+        moved, _ = _contour_1443(0.37, a3, a4, a5,
+                                 abscissa=spec.abscissa + shift)
         assert moved == pytest.approx(base, rel=1e-8)
 
 

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from lisnoma import (SystemConfig, default_config, enumerate_events,
-                     pep_general, simulate_ber, union_bound,
-                     union_bound_curve)
+from lisnoma import (EventEnumeration, SystemConfig, default_config,
+                     enumerate_events, pep_general, pep_m1, simulate_ber,
+                     union_bound, union_bound_curve)
 from lisnoma.config import BPSK, SnrGrid
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
@@ -33,9 +33,11 @@ def test_near_user_enumeration_includes_residuals(cfg):
 
 def test_perfect_cancellation_subset(cfg):
     full = enumerate_events(cfg, 2)
-    perfect = enumerate_events(cfg, 2, sic_errors=False)
+    # the events in which user 1 was detected correctly
+    events = tuple(e for e in full.events
+                   if all(d == 0.0 for d in e.sic_errors))
+    perfect = EventEnumeration(user=2, events=events, tau=len(events))
     assert perfect.tau == 4
-    assert all(e.sic_errors == (0.0,) for e in perfect.events)
     # the unnormalized event sum can only grow when residuals are added
     for s in (0.0, 10.0, 20.0):
         b_full = union_bound(cfg, 2, s, enumeration=full)
@@ -63,16 +65,12 @@ def test_bound_value_bookkeeping(cfg):
 
 
 def test_method_selection(cfg, cfg1):
-    auto1 = union_bound(cfg1, 1, 10.0, pep_method="auto")
-    m1 = union_bound(cfg1, 1, 10.0, pep_method="m1")
-    assert auto1.raw == pytest.approx(m1.raw, rel=1e-12)
-    auto3 = union_bound(cfg, 1, 10.0, pep_method="auto")
-    gen3 = union_bound(cfg, 1, 10.0, pep_method="general")
-    assert auto3.raw == pytest.approx(gen3.raw, rel=1e-12)
-    custom = union_bound(cfg, 1, 10.0, pep_method=pep_general)
-    assert custom.raw == pytest.approx(gen3.raw, rel=1e-12)
-    with pytest.raises(ValueError):
-        union_bound(cfg, 1, 10.0, pep_method="bogus")
+    # the single-element form at M = 1, the general form otherwise
+    for c, form in ((cfg1, pep_m1), (cfg, pep_general)):
+        en = enumerate_events(c, 1)
+        acc = sum(form(c, 1, e, snr_db=10.0).raw for e in en.events)
+        got = union_bound(c, 1, 10.0)
+        assert got.raw == pytest.approx(acc / en.tau, rel=1e-12)
 
 
 def test_bound_dominates_simulation_spot_check(cfg):
@@ -87,7 +85,7 @@ def test_bound_dominates_simulation_spot_check(cfg):
 def test_curve_matches_pointwise_evaluation(cfg):
     pts = (0.0, 6.0, 12.0)
     curve = union_bound_curve(cfg, 1, pts)
-    assert curve.user == 1 and curve.tau == 4 and curve.method == "auto"
+    assert curve.user == 1 and curve.tau == 4
     assert curve.snr_db == pytest.approx(pts)
     for s, v, r in zip(curve.snr_db, curve.value, curve.raw):
         one = union_bound(cfg, 1, s)
@@ -107,7 +105,7 @@ def test_curve_is_the_per_event_sum_of_scalar_peps(cfg6, user):
     # the curve evaluates every event x SNR pair in one kernel call; each
     # value must be the one a scalar call returns
     pts = tuple(float(s) for s in range(0, 41, 4))
-    curve = union_bound_curve(cfg6, user, pts, pep_method="general")
+    curve = union_bound_curve(cfg6, user, pts)
     en = enumerate_events(cfg6, user)
     for s, r in zip(pts, curve.raw):
         acc = sum(pep_general(cfg6, user, e, snr_db=s).raw
