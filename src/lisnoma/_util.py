@@ -1,9 +1,13 @@
-"""Shared helpers: deterministic substreams, the cascade sampler, graded
-composite quadrature."""
+"""Shared helpers: deterministic substreams and the pool that runs them,
+the cascade sampler, graded composite quadrature."""
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -12,6 +16,8 @@ import numpy as np
 CHUNK = 1 << 20
 # rows per substream of the sampled-moment and density checks
 SMALL_CHUNK = 1 << 18
+# rows of the second hop that element_sums draws at a time
+_BLOCK = 1 << 12
 
 
 class ConvergenceError(RuntimeError):
@@ -40,35 +46,119 @@ def chunk_counts(total: int, chunk: int = CHUNK):
         i += 1
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the substream pool's worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int, pid: int):
+    # keyed on the process id, so a forked child starts its own threads;
+    # imported here to keep the thread pool out of `import lisnoma`
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="lisnoma")
+
+
+def substreams(fn, keys, scratch: int):
+    """Yield ``fn(key, buf)`` for every key, in key order.
+
+    The calls run on a shared pool of one thread per CPU, at most two per
+    thread ahead of the consumer; with one CPU or one key they run in the
+    calling thread. numpy releases the GIL while it draws and computes on
+    arrays, so the threads run at once. ``buf`` is a float64 scratch array
+    of ``scratch`` elements: a call makes one per substream running at
+    once and hands it from substream to substream, so none outlives the
+    call. ``fn`` must write nothing another substream reads or writes.
+    Callers fold the results in key order, which makes every output
+    independent of the CPU count.
+    """
+    free = []
+
+    def run(key):
+        try:
+            buf = free.pop()
+        except IndexError:
+            buf = np.empty(scratch)
+        try:
+            return fn(key, buf)
+        finally:
+            free.append(buf)
+
+    keys = list(keys)
+    workers = _cpu_count()
+    if workers == 1 or len(keys) == 1:
+        yield from map(run, keys)
+        return
+    pool = _pool(workers, os.getpid())
+    todo = iter(keys)
+    pending = deque(pool.submit(run, k) for k in islice(todo, 2 * workers))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(run, k) for k in islice(todo, 1))
+        yield result
+
+
+def _rayleigh(rng: np.random.Generator, a: np.ndarray, scale: float):
+    """Fill ``a`` in place with Rayleigh(scale) magnitudes, scale sqrt(2 E)."""
+    rng.standard_exponential(out=a)
+    a *= 2.0
+    np.sqrt(a, out=a)
+    a *= scale
+
+
 def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
-                 buf: np.ndarray) -> np.ndarray:
+                 buf: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """n draws of the cascade sum: row sums of h * g over M elements.
 
-    h and g are (n, M) Rayleigh(scale) magnitudes built in ``buf`` (at
-    least 2 n M floats, reused from chunk to chunk) as scale sqrt(2 E)
-    from ``standard_exponential``. That is how ``Generator.rayleigh`` maps
-    its exponentials, so the sums and the generator's state afterwards
-    equal those of two ``rng.rayleigh(scale, (n, M))`` draws bit for bit.
+    h and g are (n, M) Rayleigh(scale) magnitudes, each scale sqrt(2 E)
+    from ``standard_exponential``, which is how ``Generator.rayleigh``
+    maps its exponentials. Both are drawn from one stream in blocks of
+    ``_BLOCK`` rows, transformed while the block is in cache: h into
+    ``buf`` (at least n M floats), kept whole; then g into one small
+    block, multiplied by its rows of h and summed into ``out`` (a new
+    array when None). So the sums and the generator's state afterwards
+    equal those of two ``rng.rayleigh(scale, (n, M))`` draws bit for bit,
+    with one (n, M) buffer and one block in memory. Each substream calls
+    it in one thread with its own generator, so the sums do not depend on
+    the CPU count.
     """
-    h, g = buf[:2 * n * M].reshape(2, n, M)
-    for a in (h, g):
-        rng.standard_exponential(out=a)
-        a *= 2.0
-        np.sqrt(a, out=a)
-        a *= scale
-    h *= g
-    return h.sum(axis=1)
+    h = buf[:n * M].reshape(n, M)
+    for a in range(0, n, _BLOCK):
+        _rayleigh(rng, h[a:a + _BLOCK], scale)
+    if out is None:
+        out = np.empty(n)
+    block = np.empty(min(n, _BLOCK) * M)
+    for a in range(0, n, _BLOCK):
+        b = min(n, a + _BLOCK)
+        g = block[:(b - a) * M].reshape(b - a, M)
+        _rayleigh(rng, g, scale)
+        g *= h[a:b]
+        g.sum(axis=1, out=out[a:b])
+    return out
 
 
 def sample_sums(M: int, sigma2: float, count: int, seed: int,
                 chunk: int = CHUNK) -> np.ndarray:
-    """`count` cascade sums, one substream per chunk of `chunk` rows."""
+    """`count` cascade sums, one substream per chunk of `chunk` rows.
+
+    The chunks fill their own slices of the result on the substream pool,
+    so the sums do not depend on the CPU count.
+    """
     scale = math.sqrt(sigma2)
-    buf = np.empty(2 * M * min(count, chunk))
     s = np.empty(count)
-    for idx, n in chunk_counts(count, chunk):
-        s[idx * chunk:idx * chunk + n] = element_sums(
-            chunk_rng(seed, idx), n, M, scale, buf)
+
+    def fill(key, buf):
+        idx, n = key
+        element_sums(chunk_rng(seed, idx), n, M, scale, buf,
+                     out=s[idx * chunk:idx * chunk + n])
+
+    for _ in substreams(fill, chunk_counts(count, chunk),
+                        M * min(count, chunk)):
+        pass
     return s
 
 

@@ -3,8 +3,12 @@
 Phases at the surface are ideally aligned to the served user, so only the
 two Rayleigh magnitudes per element are ever drawn; the complex channel is
 never materialized. Everything here is pure given (config, seed): draws run
-in fixed-size chunks with per-chunk substreams, so identical inputs give
-bit-identical outputs no matter how the work is batched.
+in fixed-size chunks with per-chunk substreams, and the substreams run on
+a pool of one thread per CPU (`_util.substreams`) while the caller folds
+their partial sums in substream order. So identical inputs give
+bit-identical outputs no matter how the work is batched or how many CPUs
+run it. The conditional kernel of `simulate_pep` runs in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._util import (CHUNK, chunk_counts, chunk_rng, element_sums,
-                    sample_sums, wilson_interval)
+                    sample_sums, substreams, wilson_interval)
 from .config import SnrGrid, SystemConfig
 from .moments import analytic_moments
 from .pep import ErrorEvent, _resolve_n0, pep_conditional
@@ -83,30 +87,37 @@ def simulate_ber(config: SystemConfig, snr, frames: int,
     scale = math.sqrt(config.sigma2)
     roots = [math.sqrt(p) for p in config.P]
     L = config.L
-    errors = np.zeros((len(snr_db), L), dtype=np.int64)
-    buf = np.empty(2 * config.M * min(frames, CHUNK))
 
-    for pi, sdb in enumerate(snr_db):
-        N0 = 10.0 ** (-sdb / 10.0)
-        nstd = math.sqrt(N0 / 2.0)
-        for idx, n in chunk_counts(frames):
-            sym_rng = chunk_rng(seed, pi, 0, idx)
-            xs = [c[sym_rng.integers(0, len(c), n)]
-                  for c in map(np.asarray, config.constellation)]
-            tx = sum(r * x for r, x in zip(roots, xs))
-            for user in range(1, L + 1):
-                rng = chunk_rng(seed, pi, user, idx)
-                q = element_sums(rng, n, config.M, scale, buf)
-                q /= math.sqrt(config.distance_factor(user))
-                y = q * tx + rng.normal(0.0, nstd, n)
-                residual = y
-                for i in range(user - 1):
-                    xhat = _slice_symbols(residual, q * roots[i],
-                                          config.constellation[i])
-                    residual = residual - q * roots[i] * xhat
-                own = _slice_symbols(residual, q * roots[user - 1],
-                                     config.constellation[user - 1])
-                errors[pi, user - 1] += int(np.sum(own != xs[user - 1]))
+    def frame_errors(key, buf):
+        """Errors per user over one chunk of frames at one SNR point."""
+        pi, idx, n = key
+        nstd = math.sqrt(10.0 ** (-snr_db[pi] / 10.0) / 2.0)
+        sym_rng = chunk_rng(seed, pi, 0, idx)
+        xs = [c[sym_rng.integers(0, len(c), n)]
+              for c in map(np.asarray, config.constellation)]
+        tx = sum(r * x for r, x in zip(roots, xs))
+        errs = np.zeros(L, dtype=np.int64)
+        for user in range(1, L + 1):
+            rng = chunk_rng(seed, pi, user, idx)
+            q = element_sums(rng, n, config.M, scale, buf)
+            q /= math.sqrt(config.distance_factor(user))
+            y = q * tx + rng.normal(0.0, nstd, n)
+            residual = y
+            for i in range(user - 1):
+                xhat = _slice_symbols(residual, q * roots[i],
+                                      config.constellation[i])
+                residual = residual - q * roots[i] * xhat
+            own = _slice_symbols(residual, q * roots[user - 1],
+                                 config.constellation[user - 1])
+            errs[user - 1] = int(np.sum(own != xs[user - 1]))
+        return errs
+
+    keys = [(pi, idx, n) for pi in range(len(snr_db))
+            for idx, n in chunk_counts(frames)]
+    errors = np.zeros((len(snr_db), L), dtype=np.int64)
+    for (pi, _, _), errs in zip(keys, substreams(
+            frame_errors, keys, config.M * min(frames, CHUNK))):
+        errors[pi] += errs
 
     out = {}
     for user in range(1, L + 1):
@@ -201,42 +212,49 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     # times it; draws are in units of s
     s = kappa * math.pi / 8.0
     log_norm = M * math.log(8.0 * s * s)          # 4 s^2 b per element
+    chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
+
+    def draw(key, buf):
+        """One substream's cascade sums, and their weights when tilted."""
+        idx, n = key
+        rng = chunk_rng(seed, idx)
+        if kappa == 1.0:
+            return element_sums(rng, n, M, scale, buf), None
+        # Three uniforms on (0, 1] per element, element-major so that sums
+        # over elements are row adds: w / s = -ln(u1 u2) is Gamma(2, 1),
+        # and |rho| = -2 ln u3 is Exp with mean b = 2, so |rho| / b =
+        # -ln u3 and 2 cosh rho = u3^-2 + u3^2.
+        u = buf[:3 * M * n].reshape(3, M, n)
+        rng.random(out=u)
+        np.subtract(1.0, u, out=u)
+        u1, u2, u3 = u
+        u1 *= u2
+        np.log(u1, out=u1)                    # -w / s
+        g_sum = -u1.sum(axis=0)
+        np.log(u3, out=u2)                    # -|rho| / b
+        logw = log_norm + g_sum - u2.sum(axis=0)
+        u3 *= u3
+        np.reciprocal(u3, out=u2)
+        u2 += u3                              # 2 cosh rho
+        u2 *= u1
+        logw += s * u2.sum(axis=0)
+        return (2.0 * sigma2 * s) * g_sum, np.exp(logw)
+
+    # the substreams draw on the pool; the conditional kernel runs in this
+    # thread, one chunk at a time, and the sums fold in substream order
     total = 0.0
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
-    # reused across substreams; fresh per-chunk arrays cost page faults
-    buf = np.empty((2 if kappa == 1.0 else 3) * M * min(trials, chunk))
-    for idx, n in chunk_counts(trials, chunk):
-        rng = chunk_rng(seed, idx)
-        if kappa == 1.0:
-            s_sum = element_sums(rng, n, M, scale, buf)
-            vals = np.asarray(pep_conditional(s_sum / rd, event, N0=N0))
-            wsum += n
-            w2sum += n
+    for s_sum, w in substreams(draw, chunk_counts(trials, chunk),
+                               (1 if kappa == 1.0 else 3) * M
+                               * min(trials, chunk)):
+        vals = np.asarray(pep_conditional(s_sum / rd, event, N0=N0))
+        if w is None:
+            wsum += s_sum.size
+            w2sum += s_sum.size
         else:
-            # Three uniforms on (0, 1] per element, element-major so that
-            # sums over elements are row adds: w / s = -ln(u1 u2) is
-            # Gamma(2, 1), and |rho| = -2 ln u3 is Exp with mean b = 2, so
-            # |rho| / b = -ln u3 and 2 cosh rho = u3^-2 + u3^2.
-            u = buf[:3 * M * n].reshape(3, M, n)
-            rng.random(out=u)
-            np.subtract(1.0, u, out=u)
-            u1, u2, u3 = u
-            u1 *= u2
-            np.log(u1, out=u1)                    # -w / s
-            g_sum = -u1.sum(axis=0)
-            np.log(u3, out=u2)                    # -|rho| / b
-            logw = log_norm + g_sum - u2.sum(axis=0)
-            u3 *= u3
-            np.reciprocal(u3, out=u2)
-            u2 += u3                              # 2 cosh rho
-            u2 *= u1
-            logw += s * u2.sum(axis=0)
-            w = np.exp(logw)
-            s_sum = (2.0 * sigma2 * s) * g_sum
-            vals = w * np.asarray(pep_conditional(s_sum / rd, event, N0=N0))
+            vals = w * vals
             wsum += float(w.sum())
             w2sum += float((w * w).sum())
         total += float(vals.sum())

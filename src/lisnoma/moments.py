@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import SMALL_CHUNK, chunk_counts, chunk_rng, element_sums
+from ._util import (SMALL_CHUNK, chunk_counts, chunk_rng, element_sums,
+                    substreams)
 
 _PI = math.pi
 
@@ -102,8 +103,9 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     """Monte Carlo raw moments of S with jackknife standard errors.
 
     Sampling is chunked; each chunk gets an independent substream keyed on
-    (seed, chunk index), so the result is reproducible for a given seed
-    regardless of execution order.
+    (seed, chunk index) and runs on the substream pool, and the chunk sums
+    are collected in chunk order, so the result is reproducible for a
+    given seed regardless of execution order or CPU count.
     """
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
@@ -116,19 +118,24 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     # chunk sums of S^k for k = 1..4; jackknife blocks are finer than the
     # draw chunks so runs smaller than one chunk still get an error bar
     block = max(2500, -(-int(samples) // 64))
-    buf = np.empty(2 * M * min(int(samples), SMALL_CHUNK))
-    sums = []
-    counts = []
-    for idx, n in chunk_counts(int(samples), SMALL_CHUNK):
+
+    def chunk_sums(key, buf):
+        idx, n = key
         s = element_sums(chunk_rng(seed, idx), n, M, scale, buf)
         p = np.empty((4, n))
         p[0] = s
         for k in range(1, 4):
             p[k] = p[k - 1] * s
-        for a in range(0, n, block):
-            b = min(n, a + block)
-            sums.append(p[:, a:b].sum(axis=1))
-            counts.append(b - a)
+        return [(p[:, a:a + block].sum(axis=1), min(n, a + block) - a)
+                for a in range(0, n, block)]
+
+    sums = []
+    counts = []
+    for part in substreams(chunk_sums, chunk_counts(int(samples), SMALL_CHUNK),
+                           M * min(int(samples), SMALL_CHUNK)):
+        for row, count in part:
+            sums.append(row)
+            counts.append(count)
     sums = np.array(sums)          # (C, 4)
     counts = np.array(counts, dtype=float)
     total = counts.sum()

@@ -282,20 +282,32 @@ def test_validate_honest_exit_codes(capsys, monkeypatch):
     assert "[FAIL]" in out and "always fails" in out
 
 
-@pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
-def test_import_leaves_scipy_optimize_unloaded(module):
-    # scipy.optimize costs every command about 0.3 s of start-up; only the
-    # union-bound crossing search of the validation suite needs it
+def _import_leaves_unloaded(module: str, name: str) -> bool:
+    """Whether a fresh `import module` leaves `name` out of sys.modules."""
     import os
     import subprocess
     import sys
     import lisnoma
     src = os.path.dirname(os.path.dirname(lisnoma.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = (f"import sys, {module}; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env,
+    code = f"import sys, {module}; sys.exit({name!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=120).returncode == 0
+
+
+@pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    # scipy.optimize costs every command about 0.3 s of start-up; only the
+    # union-bound crossing search of the validation suite needs it
+    assert _import_leaves_unloaded(module, "scipy.optimize")
+
+
+@pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
+def test_import_leaves_the_thread_pool_unloaded(module):
+    # the Monte Carlo substream pool imports its executor on first use;
+    # numpy.testing already loads concurrent.futures itself, so the guard
+    # is on the submodule that holds ThreadPoolExecutor
+    assert _import_leaves_unloaded(module, "concurrent.futures.thread")
 
 
 def test_pep_quadrature_rows_carry_a_relative_tolerance(capsys,
