@@ -11,7 +11,7 @@ import csv
 from pathlib import Path
 
 from lisnoma.config import default_config
-from lisnoma.union_bound import union_bound
+from lisnoma.union_bound import union_bound_curve
 
 OUT = Path(__file__).resolve().parent / "output"
 
@@ -27,9 +27,9 @@ def main() -> None:
     for M in SIZES:
         for p1 in SPLITS:
             cfg = default_config(M=M, P=(p1, round(1.0 - p1, 10)))
-            u1 = union_bound(cfg, 1, SNR_DB)
-            u2 = union_bound(cfg, 2, SNR_DB)
-            rows.append((M, p1, u1.value, u2.value))
+            u1 = union_bound_curve(cfg, 1, (SNR_DB,))
+            u2 = union_bound_curve(cfg, 2, (SNR_DB,))
+            rows.append((M, p1, u1.value[0], u2.value[0]))
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["M", "p1", "user1_bound", "user2_bound"])

@@ -20,7 +20,7 @@ from .channel import (BerCurve, CascadeBatch, PepEstimate, sample_cascade,
 from .asymptotics import (AsymptoticPep, DiversityReport, analytic_diversity,
                           diversity_order, pep_asymptotic)
 from .union_bound import (BoundCurve, EventEnumeration, enumerate_events,
-                          union_bound, union_bound_curve)
+                          union_bound_curve)
 
 __all__ = [
     "__version__",
@@ -35,6 +35,5 @@ __all__ = [
     "sample_cascade", "simulate_ber", "simulate_pep",
     "AsymptoticPep", "DiversityReport", "analytic_diversity",
     "diversity_order", "pep_asymptotic",
-    "BoundCurve", "EventEnumeration", "enumerate_events", "union_bound",
-    "union_bound_curve",
+    "BoundCurve", "EventEnumeration", "enumerate_events", "union_bound_curve",
 ]

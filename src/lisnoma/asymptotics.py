@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 from scipy import special as sp
 
 from .config import SystemConfig
-# pep_m1 is reached by name, through closed_form
-from .pep import (ErrorEvent, _chernoff_args, _fit, _resolve_n0,
-                  closed_form, pep_general, pep_m1)
+from .pep import (ErrorEvent, _chernoff_args, _fit, _resolve_n0, pep_general,
+                  pep_m1)
 from .specfun import _nonpositive_int
 
 
@@ -147,7 +146,7 @@ def diversity_order(config: SystemConfig, user: int,
     probe = _normalized_probe(config, user)
     event = _max_vartheta_event(probe, user)
     lo, hi = min(grid_db), max(grid_db)
-    f = closed_form("auto", config.M, globals())
+    f = pep_m1 if config.M == 1 else pep_general
     p_lo = f(probe, user, event, snr_db=lo)
     p_hi = f(probe, user, event, snr_db=hi)
     numeric = ((math.log10(p_lo.raw) - math.log10(p_hi.raw))

@@ -23,11 +23,10 @@ from .channel import simulate_ber, simulate_pep
 from .config import SystemConfig, default_config
 from .moments import analytic_moments, empirical_moments, _mu3_listed, _mu4_listed
 from .pdf_approx import (clt_params, density_cdf_table, fit_gparams,
-                         ks_statistic, pdf_double_rayleigh, pdf_g,
-                         quadrature_domain)
-from .pep import (build_event, closed_form, pep_clt, pep_general, pep_m1,
-                  pep_quadrature)
-from .union_bound import enumerate_events, union_bound
+                         ks_distance, ks_statistic, pdf_double_rayleigh,
+                         pdf_g, quadrature_domain)
+from .pep import build_event, pep_clt, pep_general, pep_m1, pep_quadrature
+from .union_bound import union_bound_curve
 
 
 @dataclass
@@ -163,11 +162,7 @@ def check_density_fit(quick: bool = False):
     cp = clt_params(M, sigma2)
     sample = np.sort(sample_sums(M, sigma2, samples, 404, SMALL_CHUNK))
     z = (sample - cp.mu_bar) / math.sqrt(cp.sigma_bar2)
-    F = sp.ndtr(z)
-    n = len(sample)
-    up = np.arange(1, n + 1) / n
-    dn = np.arange(0, n) / n
-    ks = float(max(np.max(np.abs(F - up)), np.max(np.abs(F - dn))))
+    ks = ks_distance(sp.ndtr(z))
     # the residual skew of a 15-term sum is above the threshold; real gap,
     # not sampling noise (noise scale here is ~3e-4). The first Edgeworth
     # term predicts KS ~ g1 / (6 sqrt(2 pi)) = 0.0275 for skewness
@@ -237,6 +232,17 @@ def _closed_forms(M: int):
     return forms
 
 
+def _decay_slopes(M: int, curve: dict) -> tuple:
+    """Monte Carlo and closed-form decay from 30 to 40 dB, decades/10dB."""
+    lo, hi = curve[30.0], curve[40.0]
+    cfg = default_config(M=M)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    fn = pep_m1 if M == 1 else pep_general
+    slope_cf = math.log10(fn(cfg, 1, ev, snr_db=30.0).raw
+                          / fn(cfg, 1, ev, snr_db=40.0).raw)
+    return math.log10(lo.value / hi.value), slope_cf
+
+
 def check_bound_dominance(quick: bool = False):
     out = []
     grid = (0.0, 10.0, 20.0, 30.0, 40.0)
@@ -273,13 +279,7 @@ def check_bound_dominance(quick: bool = False):
     for M in (1, 3):
         if M not in mc_by_m:
             continue
-        lo, hi = mc_by_m[M][30.0], mc_by_m[M][40.0]
-        slope_mc = math.log10(lo.value / hi.value)
-        cfg = default_config(M=M)
-        ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
-        fn = closed_form("auto", M, globals())
-        slope_cf = math.log10(fn(cfg, 1, ev, snr_db=30.0).raw
-                              / fn(cfg, 1, ev, snr_db=40.0).raw)
+        slope_mc, slope_cf = _decay_slopes(M, mc_by_m[M])
         devs.append((M, abs(slope_mc - slope_cf) / slope_cf, slope_mc,
                      slope_cf))
     worst = max(devs, key=lambda d: d[1])
@@ -299,11 +299,7 @@ def check_bound_dominance(quick: bool = False):
     curve = mc_by_m[15]
     lo, hi = curve[30.0], curve[40.0]
     if lo.value > 0.0 and hi.value > 0.0 and hi.se / hi.value < 0.2:
-        slope_mc = math.log10(lo.value / hi.value)
-        cfg = default_config(M=15)
-        ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
-        slope_cf = math.log10(pep_general(cfg, 1, ev, snr_db=30.0).raw
-                              / pep_general(cfg, 1, ev, snr_db=40.0).raw)
+        slope_mc, slope_cf = _decay_slopes(15, curve)
         rel = abs(slope_mc - slope_cf) / slope_cf
         out.append(_result(
             "5c", "simulated decay slope at fifteen elements",
@@ -346,11 +342,10 @@ def check_diversity(quick: bool = False):
 # ---------------------------------------------------------------------------
 # 7: union bound vs simulation, gap, and feasibility
 
-def _bound_crossing(cfg, user, enum, target, lo=2.0, hi=70.0):
+def _bound_crossing(cfg, user, target, lo=2.0, hi=70.0):
     # imported here: loading scipy.optimize costs every CLI command ~0.3 s
     from scipy import optimize
-    f = lambda s: (math.log10(union_bound(cfg, user, s,
-                                          enumeration=enum).raw)
+    f = lambda s: (math.log10(union_bound_curve(cfg, user, (s,)).raw[0])
                    - math.log10(target))
     return optimize.brentq(f, lo, hi, xtol=1e-4)
 
@@ -368,12 +363,11 @@ def check_union_bound(quick: bool = False):
         cfg = default_config(M=M)
         sim = simulate_ber(cfg, grid, frames=frames, seed=771)
         for user in (1, 2):
-            enum = enumerate_events(cfg, user)
+            bound = union_bound_curve(cfg, user, grid)
             for i, s in enumerate(grid):
-                b = union_bound(cfg, user, s, enumeration=enum).value
-                if b < sim[user].ci_low[i]:
+                if bound.value[i] < sim[user].ci_low[i]:
                     viol.append(f"M={M} user {user} at {s:g} dB")
-            cross[(M, user)] = _bound_crossing(cfg, user, enum, target)
+            cross[(M, user)] = _bound_crossing(cfg, user, target)
     out.append(_result(
         "7a", "union bound dominates simulated error rate",
         not viol,
@@ -397,8 +391,7 @@ def check_union_bound(quick: bool = False):
     for M in (3, 6):
         cfg = default_config(M=M)
         for user in (1, 2):
-            enum = enumerate_events(cfg, user)
-            floors[(M, user)] = _bound_crossing(cfg, user, enum, 1e-5)
+            floors[(M, user)] = _bound_crossing(cfg, user, 1e-5)
     bits = 100.0 / 1e-5
     inside = all(cross[k] < floors[k] for k in cross)
     deepest = max(floors.values())
@@ -433,7 +426,7 @@ def check_power_sensitivity(quick: bool = False):
             vals = []
             for p1 in (0.8, 0.6):
                 cfg = default_config(M=M, P=(p1, 1.0 - p1))
-                vals.append(union_bound(cfg, user, snr).value)
+                vals.append(union_bound_curve(cfg, user, (snr,)).value[0])
             deltas.append(abs(vals[0] - vals[1]))
         rows.append((M, deltas[0], deltas[1]))
         if not deltas[0] > deltas[1]:

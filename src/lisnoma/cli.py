@@ -29,13 +29,16 @@ from .config import SnrGrid, SystemConfig, default_config, load_scenario
 from .moments import MIN_SAMPLES, analytic_moments, empirical_moments
 from .pdf_approx import (FittingError, clt_params, fit_gparams, pdf_clt,
                          pdf_double_rayleigh, pdf_g)
-# the closed forms are reached by name, through closed_form
-from .pep import (build_event, closed_form, pep_clt, pep_general, pep_m1,
-                  pep_quadrature)
+from .pep import build_event, pep_clt, pep_general, pep_m1, pep_quadrature
 from .specfun import ConvergenceError
-from .union_bound import enumerate_events, union_bound
+from .union_bound import enumerate_events, union_bound_curve
 
 SEED_ENV = "LISNOMA_SEED"
+
+# closed form for each --method name, and for each --pdf-model of the quad
+# method the closed form on that density
+_FORMS = {"general": pep_general, "m1": pep_m1, "clt": pep_clt,
+          "g": pep_general, "dr": pep_m1}
 
 
 @dataclass(frozen=True)
@@ -281,8 +284,7 @@ def _cmd_pep(args, parser) -> int:
             rows.append(",".join((_fmt(s), _fmt(est.value), _fmt(lo),
                                   _fmt(hi), "mc")))
             continue
-        v = closed_form(form, cfg.M, globals())(cfg, args.user, event,
-                                                snr_db=s)
+        v = _FORMS[form](cfg, args.user, event, snr_db=s)
         if args.method == "quad":
             # tolerance as a share of the closed form on the same density,
             # since deep-tail rows sit far below any absolute tolerance
@@ -328,12 +330,12 @@ def _cmd_ber(args, parser) -> int:
         sim = simulate_ber(cfg, grid, frames=args.frames, seed=seed)
 
     for user in range(1, cfg.L + 1):
-        enum = enumerate_events(cfg, user)
-        print(f"tau: {enum.tau} (user {user})", file=sys.stderr)
+        tau = enumerate_events(cfg, user).tau
+        print(f"tau: {tau} (user {user})", file=sys.stderr)
         rows = []
         if args.method in ("bound", "both"):
-            for s in grid.db:
-                v = union_bound(cfg, user, s, enumeration=enum).value
+            bound = union_bound_curve(cfg, user, grid.db)
+            for s, v in zip(bound.snr_db, bound.value):
                 rows.append(",".join((_fmt(s), _fmt(v), _fmt(v), _fmt(v),
                                       "bound")))
         if sim is not None:
@@ -345,7 +347,7 @@ def _cmd_ber(args, parser) -> int:
         path = _user_path(args.out, user)
         man = _manifest(args, dict(overrides, user=user),
                         output=path or "-")
-        comments = (f"user: {user}", f"tau: {enum.tau}",
+        comments = (f"user: {user}", f"tau: {tau}",
                     f"frames: {args.frames}")
         text = _csv(man, "snr_db,value,ci_low,ci_high,method", rows,
                     comments)

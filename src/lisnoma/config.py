@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 BPSK = (-1.0, 1.0)
 
@@ -135,38 +134,33 @@ def load_scenario(path) -> SystemConfig:
 
 @dataclass(frozen=True)
 class SnrGrid:
-    """Strictly increasing grid of mean SNR points, stored linearly."""
+    """Strictly increasing grid of finite mean SNR points, in dB."""
 
-    gammas: tuple
+    db: tuple
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.gammas)
-        if len(g) == 0:
+        pts = tuple(float(x) for x in self.db)
+        if len(pts) == 0:
             raise ValueError("empty grid")
-        if any(b <= a for a, b in zip(g, g[1:])):
+        if not all(math.isfinite(p) for p in pts):
+            raise ValueError("SNR points must be finite")
+        if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid must be strictly increasing")
-        if any(x <= 0 for x in g):
-            raise ValueError("SNR points must be positive")
-        object.__setattr__(self, "gammas", g)
-
-    @property
-    def db(self) -> tuple:
-        return tuple(10.0 * math.log10(g) for g in self.gammas)
-
-    @classmethod
-    def from_db(cls, points_db: Sequence[float]) -> "SnrGrid":
-        return cls(tuple(10.0 ** (p / 10.0) for p in points_db))
+        object.__setattr__(self, "db", pts)
 
     @classmethod
     def from_range_db(cls, start: float, stop: float, step: float) -> "SnrGrid":
+        """Points start + k * step up to stop, each computed from k."""
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError("start, stop and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
         pts = []
-        p = start
-        while p <= stop + 1e-9:
-            pts.append(p)
-            p += step
-        return cls.from_db(pts)
+        k = 0
+        while start + k * step <= stop + 1e-9:
+            pts.append(start + k * step)
+            k += 1
+        return cls(tuple(pts))
 
     @classmethod
     def parse(cls, text: str) -> "SnrGrid":
@@ -177,7 +171,7 @@ class SnrGrid:
         return cls.from_range_db(float(parts[0]), float(parts[1]), float(parts[2]))
 
     def __len__(self):
-        return len(self.gammas)
+        return len(self.db)
 
 
 DEFAULT_GRID = SnrGrid.from_range_db(0.0, 40.0, 2.0)

@@ -242,8 +242,12 @@ def density_cdf_table(pdf, hi: float, n: int = 4001):
 def ks_statistic(sample: np.ndarray, xs: np.ndarray, cdf: np.ndarray) -> float:
     """Two-sided KS distance between a sample and a tabulated CDF."""
     s = np.sort(np.asarray(sample))
-    F = np.interp(s, xs, cdf, left=0.0, right=cdf[-1])
-    n = len(s)
+    return ks_distance(np.interp(s, xs, cdf, left=0.0, right=cdf[-1]))
+
+
+def ks_distance(F: np.ndarray) -> float:
+    """Two-sided KS distance from CDF values at the sorted sample."""
+    n = len(F)
     up = np.arange(1, n + 1) / n
     dn = np.arange(0, n) / n
     return float(max(np.max(np.abs(F - up)), np.max(np.abs(F - dn))))

@@ -11,6 +11,9 @@ All closed forms are Chernoff-type upper bounds driven by vartheta**2,
 so they are sign-blind: events with vartheta <= 0 (interference aligned
 against the decision) are flagged, since for those the exact conditional
 probability exceeds one half while the bound stays small.
+
+Callers pick a form directly, ``pep_m1`` at M = 1 and ``pep_general``
+otherwise; the CLI keeps the one table from method names to forms.
 """
 
 from __future__ import annotations
@@ -254,28 +257,6 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
     # M <= 10 is outside the intended regime; the method tag says so
     small = "-small-M" if config.M <= 10 else ""
     return _finish(log_raw, f"clt-{variant}{small}", event)
-
-
-# Closed form for each method name, and for each density model of
-# pep_quadrature the closed form on that density. "auto" is the
-# single-element form at M = 1 and the general form otherwise.
-_CLOSED_FORMS = {"general": "pep_general", "m1": "pep_m1", "clt": "pep_clt",
-                 "g": "pep_general", "dr": "pep_m1"}
-
-
-def closed_form(name: str, M: int, namespace: dict):
-    """The closed-form PEP function that ``name`` selects at M elements.
-
-    The function is looked up by its name in ``namespace``, the caller's
-    ``globals()``, at call time, so a module attribute replaced after
-    import (a tracing wrapper, say) is the one that runs.
-    """
-    if name == "auto":
-        name = "m1" if M == 1 else "general"
-    if name not in _CLOSED_FORMS:
-        raise ValueError(f"unknown closed form {name!r}: use general, m1, "
-                         "clt, auto, g or dr")
-    return namespace[_CLOSED_FORMS[name]]
 
 
 def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,

@@ -3,26 +3,31 @@
 The enumeration walks every transmitted tuple, every wrong hypothesis for
 the target user, and every realizable SIC decision for the users detected
 first, so imperfect cancellation is represented by explicit events rather
-than a separate model.
+than a separate model. ``union_bound_curve`` is the one evaluation: a
+bound at a single SNR point is a one-point curve.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .config import SystemConfig
-# pep_m1 is reached by name, through closed_form
+# pep_general stays a module attribute: bench/tracing.py wraps it by name
 from .pep import (_finish, _log_pep_general, _resolve_n0, build_event,
-                  closed_form, pep_general, pep_m1)
+                  pep_general, pep_m1)
 
 
 @dataclass(frozen=True)
 class EventEnumeration:
     user: int
     events: tuple           # ErrorEvent per combination
-    tau: int                # total combination count
+
+    @property
+    def tau(self) -> int:
+        """Total combination count."""
+        return len(self.events)
 
 
 def enumerate_events(config: SystemConfig, user: int) -> EventEnumeration:
@@ -46,21 +51,18 @@ def enumerate_events(config: SystemConfig, user: int) -> EventEnumeration:
             for det in itertools.product(*config.constellation[:user - 1]):
                 deltas = tuple(xi - di for xi, di in zip(x, det))
                 events.append(build_event(config, user, x, xbar, deltas))
-    return EventEnumeration(user=user, events=tuple(events), tau=len(events))
+    return EventEnumeration(user=user, events=tuple(events))
 
 
-def _event_raws(config: SystemConfig, user: int,
-                enumeration: EventEnumeration,
+def _event_raws(config: SystemConfig, user: int, events: tuple,
                 snr_db: Sequence[float]) -> list:
     """Raw PEP of every event at every SNR point, one row per SNR point.
 
     At M = 1 the single-element form runs event by event; otherwise all
     events x SNR points go to the general form's kernel in one call.
     """
-    events = enumeration.events
-    fn = closed_form("auto", config.M, globals())
-    if fn is not pep_general:
-        return [[fn(config, user, ev, snr_db=s).raw for ev in events]
+    if config.M == 1:
+        return [[pep_m1(config, user, ev, snr_db=s).raw for ev in events]
                 for s in snr_db]
     N0 = [_resolve_n0(config, s) for s in snr_db]
     logs = _log_pep_general(config, user, [ev for _ in N0 for ev in events],
@@ -70,57 +72,32 @@ def _event_raws(config: SystemConfig, user: int,
 
 
 @dataclass(frozen=True)
-class UnionBoundValue:
-    value: float            # clipped to <= 1 for reporting
-    raw: float
-    tau: int
-    flagged_events: int     # events with vartheta <= 0 in the sum
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _sum_events(enumeration: EventEnumeration, raws: list
-                ) -> UnionBoundValue:
-    total = 0.0
-    for v in raws:      # in event order, so each bound is reproducible
-        total += v
-    raw = total / enumeration.tau
-    flagged = sum(1 for ev in enumeration.events if ev.flagged)
-    return UnionBoundValue(value=min(1.0, raw), raw=raw,
-                           tau=enumeration.tau, flagged_events=flagged)
-
-
-def union_bound(config: SystemConfig, user: int, snr_db: float,
-                enumeration: Optional[EventEnumeration] = None
-                ) -> UnionBoundValue:
-    """Mean PEP over all enumerated events at one SNR point."""
-    if enumeration is None:
-        enumeration = enumerate_events(config, user)
-    raws, = _event_raws(config, user, enumeration, [snr_db])
-    return _sum_events(enumeration, raws)
-
-
-@dataclass(frozen=True)
 class BoundCurve:
     user: int
     snr_db: tuple
-    value: tuple
+    value: tuple            # clipped to <= 1 for reporting
     raw: tuple
     tau: int
+    flagged_events: int     # events with vartheta <= 0 in the sum
 
 
 def union_bound_curve(config: SystemConfig, user: int,
                       snr_db: Sequence[float]) -> BoundCurve:
-    """The union bound at every SNR point, from one event enumeration.
+    """Mean PEP over all enumerated events at every SNR point.
 
-    Each point equals ``union_bound`` at that SNR. At M > 1 every event
-    at every point goes to the averaged kernel in one call.
+    One event enumeration serves the whole curve, and each point is the
+    same whatever other points the curve holds. At M > 1 every event at
+    every point goes to the averaged kernel in one call.
     """
     enumeration = enumerate_events(config, user)
-    vals = [_sum_events(enumeration, raws) for raws in
-            _event_raws(config, user, enumeration, snr_db)]
+    raw = []
+    for row in _event_raws(config, user, enumeration.events, snr_db):
+        total = 0.0
+        for v in row:   # in event order, so each bound is reproducible
+            total += v
+        raw.append(total / enumeration.tau)
     return BoundCurve(user=user, snr_db=tuple(float(s) for s in snr_db),
-                      value=tuple(v.value for v in vals),
-                      raw=tuple(v.raw for v in vals),
-                      tau=enumeration.tau)
+                      value=tuple(min(1.0, r) for r in raw), raw=tuple(raw),
+                      tau=enumeration.tau,
+                      flagged_events=sum(1 for ev in enumeration.events
+                                         if ev.flagged))

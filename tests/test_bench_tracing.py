@@ -4,8 +4,8 @@
 (``pep.meijer_g_1443_log``, ``union_bound.pep_m1``, ...). If such a name
 stops being a module attribute, or a caller stops looking it up at call
 time, the wrapper no longer sees the calls and its counters stay at zero.
-This runs traced union-bound curves in a fresh interpreter and checks the
-counts.
+This runs traced union-bound curves and diversity orders in a fresh
+interpreter and checks the counts.
 """
 
 import json
@@ -29,6 +29,9 @@ for M in (1, 3):
     tracer.counts.clear()
     api.union_bound_curve(lisnoma.default_config(M=M), 2, grid)
     counts[M] = dict(tracer.counts)
+    tracer.counts.clear()
+    api.diversity_order(lisnoma.default_config(M=M), 1, grid_db=(35.0, 45.0))
+    counts[f"diversity{{M}}"] = dict(tracer.counts)
 print(json.dumps(counts))
 """
 
@@ -43,3 +46,6 @@ def test_traced_union_curves_reach_the_patched_names():
     # M = 1: the single-element form per event, 8 events x 21 points
     assert counts["1"].get("union_bound.events") == 168
     assert counts["1"].get("pep.m1.calls") == 168
+    # diversity_order: the form for M at each end of the secant
+    assert counts["diversity1"].get("pep.m1.calls") == 2
+    assert counts["diversity3"].get("pep.general.calls") == 2

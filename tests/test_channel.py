@@ -71,7 +71,7 @@ def test_error_rate_falls_with_snr_and_with_elements():
 
 
 def test_error_rate_approaches_coin_flip_at_very_low_snr(cfg):
-    sim = simulate_ber(cfg, SnrGrid.from_db([-25.0]), frames=40_000, seed=2)
+    sim = simulate_ber(cfg, SnrGrid((-25.0,)), frames=40_000, seed=2)
     assert sim[1].ber[0] > 0.3
     assert sim[2].ber[0] > 0.3
 

@@ -71,10 +71,14 @@ def test_single_user_scenario_is_allowed():
 def test_snr_grid_parse_and_db():
     grid = SnrGrid.parse("0:30:5")
     assert len(grid) == 7
-    assert grid.db == pytest.approx((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                                    abs=1e-9)
-    assert grid.gammas[0] == pytest.approx(1.0)
-    assert grid.gammas[-1] == pytest.approx(1000.0)
+    assert grid.db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+
+
+def test_snr_grid_points_are_exact_in_db():
+    # each point is start + k * step, with no linear round trip or running sum
+    assert SnrGrid.parse("0:40:2").db == tuple(float(v) for v in range(0, 41, 2))
+    fine = SnrGrid.parse("0:3:0.3").db
+    assert fine == tuple(k * 0.3 for k in range(11))
 
 
 def test_snr_grid_rejects_bad_input():
@@ -83,7 +87,11 @@ def test_snr_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         SnrGrid((2.0, 1.0))
     with pytest.raises(ValueError):
-        SnrGrid((-1.0, 1.0))
+        SnrGrid((0.0, math.nan))
+    with pytest.raises(ValueError):
+        SnrGrid((0.0, math.inf))
+    with pytest.raises(ValueError):
+        SnrGrid.from_range_db(0.0, 10.0, math.nan)
     with pytest.raises(ValueError):
         SnrGrid.parse("0:30")
     with pytest.raises(ValueError):

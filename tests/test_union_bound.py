@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from lisnoma import (EventEnumeration, SystemConfig, default_config,
-                     enumerate_events, pep_general, pep_m1, simulate_ber,
-                     union_bound, union_bound_curve)
+from lisnoma import (SystemConfig, enumerate_events, pep_general, pep_m1,
+                     simulate_ber, union_bound_curve)
 from lisnoma.config import BPSK, SnrGrid
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
@@ -31,20 +30,6 @@ def test_near_user_enumeration_includes_residuals(cfg):
     assert sum(1 for e in en.events if e.flagged) == 2
 
 
-def test_perfect_cancellation_subset(cfg):
-    full = enumerate_events(cfg, 2)
-    # the events in which user 1 was detected correctly
-    events = tuple(e for e in full.events
-                   if all(d == 0.0 for d in e.sic_errors))
-    perfect = EventEnumeration(user=2, events=events, tau=len(events))
-    assert perfect.tau == 4
-    # the unnormalized event sum can only grow when residuals are added
-    for s in (0.0, 10.0, 20.0):
-        b_full = union_bound(cfg, 2, s, enumeration=full)
-        b_perf = union_bound(cfg, 2, s, enumeration=perfect)
-        assert b_perf.raw * perfect.tau <= b_full.raw * full.tau + 1e-15
-
-
 def test_single_user_scenario_has_no_interference_terms():
     cfg = SystemConfig(M=3, L=1, d_R=(2.0,), P=(1.0,), constellation=(BPSK,))
     en = enumerate_events(cfg, 1)
@@ -54,14 +39,14 @@ def test_single_user_scenario_has_no_interference_terms():
 
 
 def test_bound_value_bookkeeping(cfg):
-    b = union_bound(cfg, 2, 10.0)
+    b = union_bound_curve(cfg, 2, (10.0,))
     assert b.tau == 8
     assert b.flagged_events == 2
-    assert b.value == min(1.0, b.raw)
+    assert b.value[0] == min(1.0, b.raw[0])
     # the normalized bound is the weighted event average
     en = enumerate_events(cfg, 2)
     acc = sum(pep_general(cfg, 2, e, snr_db=10.0).raw for e in en.events)
-    assert b.raw == pytest.approx(acc / en.tau, rel=1e-12)
+    assert b.raw[0] == pytest.approx(acc / en.tau, rel=1e-12)
 
 
 def test_method_selection(cfg, cfg1):
@@ -69,35 +54,37 @@ def test_method_selection(cfg, cfg1):
     for c, form in ((cfg1, pep_m1), (cfg, pep_general)):
         en = enumerate_events(c, 1)
         acc = sum(form(c, 1, e, snr_db=10.0).raw for e in en.events)
-        got = union_bound(c, 1, 10.0)
-        assert got.raw == pytest.approx(acc / en.tau, rel=1e-12)
+        got = union_bound_curve(c, 1, (10.0,))
+        assert got.raw[0] == pytest.approx(acc / en.tau, rel=1e-12)
 
 
 def test_bound_dominates_simulation_spot_check(cfg):
-    grid = SnrGrid.from_db([5.0, 15.0])
+    grid = SnrGrid((5.0, 15.0))
     sim = simulate_ber(cfg, grid, frames=150_000, seed=17)
     for user in (1, 2):
-        for i, s in enumerate(grid.db):
-            b = union_bound(cfg, user, s)
-            assert b.value >= sim[user].ci_low[i]
+        b = union_bound_curve(cfg, user, grid.db)
+        for i in range(len(grid)):
+            assert b.value[i] >= sim[user].ci_low[i]
 
 
-def test_curve_matches_pointwise_evaluation(cfg):
-    pts = (0.0, 6.0, 12.0)
-    curve = union_bound_curve(cfg, 1, pts)
-    assert curve.user == 1 and curve.tau == 4
-    assert curve.snr_db == pytest.approx(pts)
-    for s, v, r in zip(curve.snr_db, curve.value, curve.raw):
-        one = union_bound(cfg, 1, s)
-        assert v == pytest.approx(one.value, rel=1e-12)
-        assert r == pytest.approx(one.raw, rel=1e-12)
-    assert all(b < a for a, b in zip(curve.raw, curve.raw[1:]))
+def test_curve_matches_pointwise_evaluation(cfg, cfg1):
+    # check 7's root finder reads one-point curves, so each point of a
+    # longer curve must be exactly the one-point curve at that SNR
+    pts = (0.0, 6.0, 12.0, 27.5)
+    for c in (cfg1, cfg):
+        curve = union_bound_curve(c, 1, pts)
+        assert curve.user == 1 and curve.tau == 4
+        assert curve.snr_db == pts
+        for s, v, r in zip(curve.snr_db, curve.value, curve.raw):
+            one = union_bound_curve(c, 1, (s,))
+            assert (v, r) == (one.value[0], one.raw[0])
+        assert all(b < a for a, b in zip(curve.raw, curve.raw[1:]))
 
 
 def test_bound_saturates_at_one_at_very_low_snr(cfg):
-    b = union_bound(cfg, 2, -30.0)
-    assert b.value <= 1.0
-    assert b.value == pytest.approx(1.0, abs=0.3)
+    b = union_bound_curve(cfg, 2, (-30.0,))
+    assert b.value[0] <= 1.0
+    assert b.value[0] == pytest.approx(1.0, abs=0.3)
 
 
 @pytest.mark.parametrize("user", [1, 2])
