@@ -17,14 +17,24 @@ and one set of gamma factors per node. The argument enters only as the
 phase -t ln z, so a band's sums are one (arguments x nodes) product.
 Anchoring near the saddle keeps float64 cancellation bounded for small
 and large arguments alike. All gamma factors are handled in log space
-with sign tracking. Nothing is memoised: a value depends only on its
-argument, the parameters and the tolerance, never on which other
-arguments share the call.
+with sign tracking.
+
+A band's line (abscissa, half-length, and the gamma factors of each
+node-doubling level reached so far) depends only on the gamma offsets
+and the band index, so it is kept in an in-process memo keyed on
+(offsets, band index) and reused by later calls. The memo holds at most
+_MAX_LINES lines and drops the least recently used. A line is built by
+the same elementwise operations whichever call builds it, and a call
+replays its doubling levels in the same order either way, so a value
+depends only on its argument, the parameters and the tolerance: never
+on which arguments share the call, nor on which calls came before.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import threading
 from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
@@ -39,6 +49,11 @@ _BAND_LOG = math.log(1.25)  # width of one argument band in ln z
 _BLOCK = 1 << 18           # entries per (arguments x nodes) row block
 _SADDLE_CELLS = 16         # saddle search: grid cells per round,
 _SADDLE_ROUNDS = 4         # ... and rounds, to 1.2e-4 of the bracket
+_MAX_LINES = 64            # contour lines kept in the memo
+
+# (offsets, band) -> _Line, least recently used first
+_LINES = collections.OrderedDict()
+_LINES_LOCK = threading.Lock()
 
 
 def q_function(x):
@@ -168,15 +183,13 @@ def _half_lengths(c, ratio):
     raise ConvergenceError("could not truncate the contour tail")
 
 
-def _row_sums(lnz, t, log_f, weight):
-    """sum_j weight_j Re exp(log_f_j - i t_j ln z) for each ln z.
+def _row_sums(lnz, t, amp, phase):
+    """sum_j amp_j cos(phase_j - t_j ln z) for each ln z.
 
     Evaluated in row blocks of at most _BLOCK entries, so peak memory
     does not grow with the number of arguments. Each row is summed on
     its own, so its value does not depend on the other rows.
     """
-    amp = weight * np.exp(log_f.real)
-    phase = log_f.imag
     rows = max(1, _BLOCK // t.size)
     out = np.empty(lnz.size)
     for i in range(0, lnz.size, rows):
@@ -185,30 +198,92 @@ def _row_sums(lnz, t, log_f, weight):
     return out
 
 
-def _band_sums(lnz, c, g0, T, n, ratio, rtol):
+@dataclass
+class _Line:
+    """One band's contour line: Re s = ``c`` truncated at ``T``.
+
+    ``g0`` is log F(c) and ``first`` the first node count. ``levels``
+    holds, for each doubling level reached so far, the node amplitudes
+    (trapezoid weight times exp Re(log F - g0)) and phases Im(log F - g0);
+    the nodes themselves are cheap to rebuild and are not stored.
+    """
+
+    c: float
+    T: float
+    g0: float
+    first: int
+    levels: list
+
+
+def _new_lines(c, ratio, lo, hi):
+    """Lines at the abscissas ``c``, with no doubling level built yet."""
+    T, g0 = _half_lengths(c, ratio)
+    # a pole at distance d from the line leaves a bump of width ~d along
+    # it; start with enough nodes that the bump is sampled, or the
+    # doubling loop can plateau on a wrong value
+    prox = np.minimum(c - lo, hi - c)
+    first = np.maximum(_FIRST_NODES, np.minimum(
+        4097, (3.0 * T / np.maximum(prox, 1e-6)).astype(int) | 1))
+    return [_Line(float(c[k]), float(T[k]), float(g0[k]), int(first[k]), [])
+            for k in range(c.size)]
+
+
+def _memo_lines(parts, band, ratio, lo, hi):
+    """The lines of ``band``, from the memo where present.
+
+    Missing lines are built together, each anchored near its band's
+    saddle. Each line then becomes the most recently used, dropping the
+    least recently used when the memo is full, so the memo never holds
+    more than _MAX_LINES lines, even while a call spans more bands.
+    """
+    keys = [(parts, float(b)) for b in band]
+    lines = [_LINES.get(key) for key in keys]
+    missing = [k for k, line in enumerate(lines) if line is None]
+    if missing:
+        c = _saddles((band[missing] + 0.5) * _BAND_LOG, ratio, lo, hi)
+        for k, line in zip(missing, _new_lines(c, ratio, lo, hi)):
+            lines[k] = line
+    for key, line in zip(keys, lines):
+        _LINES.pop(key, None)
+        if len(_LINES) == _MAX_LINES:
+            _LINES.popitem(last=False)
+        _LINES[key] = line
+    return lines
+
+
+def _band_sums(lnz, line, ratio, rtol):
     """Trapezoid sums over [-T, T] for one band, scaled by exp(-g0).
 
     Conjugate symmetry of the integrand about the real axis is assumed
     (real argument, offset multiset closed under conjugation), so only
     t >= 0 is sampled. Nodes double, reusing the old ones, until each
     argument's sum changes by at most ``rtol`` relative; that argument
-    then keeps the sum of the doubling where it converged. ``g0`` is
-    log F(c). Returns the sums and the final node count.
+    then keeps the sum of the doubling where it converged. A level
+    missing from ``line`` is built and kept there. Returns the sums and
+    the final node count.
     """
-    t = np.linspace(0.0, T, n)
+    def level(i, t, weight):
+        if i == len(line.levels):
+            log_f = ratio.log(line.c + 1j * t) - line.g0
+            line.levels.append((weight * np.exp(log_f.real), log_f.imag))
+        return line.levels[i]
+
+    n = line.first
+    t = np.linspace(0.0, line.T, n)
     weight = np.ones(n)
     weight[0] = weight[-1] = 0.5
-    acc = _row_sums(lnz, t, ratio.log(c + 1j * t) - g0, weight)
-    h = T / (n - 1)
+    acc = _row_sums(lnz, t, *level(0, t, weight))
+    h = line.T / (n - 1)
     prev = 2.0 * h * acc
     out = np.empty_like(prev)
     active = np.arange(lnz.size)
+    i = 0
     while n < _MAX_NODES:
+        i += 1
         mid = h * (np.arange(n - 1) + 0.5)
         n = 2 * n - 1
         h = 0.5 * h
-        acc[active] += _row_sums(lnz[active], mid,
-                                 ratio.log(c + 1j * mid) - g0, 1.0)
+        acc[active] += _row_sums(lnz[active], mid, *level(i, mid, 1.0))
         cur = 2.0 * h * acc[active]
         scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev[active])),
                            1e-300)
@@ -231,7 +306,8 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
     specs): two arrays shaped like ``z`` and one MellinBarnesSpec per
     argument band, in increasing order of the band. ``abscissa`` puts
     every band's line at one fixed Re s inside the strip in place of its
-    saddle; ``rtol`` is the node-doubling tolerance.
+    saddle, and such lines bypass the memo; ``rtol`` is the node-doubling
+    tolerance.
     """
     z = np.asarray(z, dtype=float)
     if np.any(~(z > 0)):
@@ -243,38 +319,30 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
 
     lnz = np.log(z)
     band, where = np.unique(np.floor(lnz / _BAND_LOG), return_inverse=True)
-    if abscissa is None:
-        c = _saddles((band + 0.5) * _BAND_LOG, ratio, lo, hi)
-    else:
-        c = float(abscissa)
-        if not (lo < c < (hi if math.isfinite(hi) else c + 1)):
-            raise ValueError("abscissa outside the legal strip")
-        c = np.full(band.size, c)
-    T, g0 = _half_lengths(c, ratio)
+    with _LINES_LOCK:     # memo lines grow in place: one call at a time
+        if abscissa is None:
+            lines = _memo_lines(parts, band, ratio, lo, hi)
+        else:
+            c = float(abscissa)
+            if not (lo < c < (hi if math.isfinite(hi) else c + 1)):
+                raise ValueError("abscissa outside the legal strip")
+            lines = _new_lines(np.full(band.size, c), ratio, lo, hi)
 
-    # a pole at distance d from the line leaves a bump of width ~d along
-    # it; start with enough nodes that the bump is sampled, or the
-    # doubling loop can plateau on a wrong value
-    prox = np.minimum(c - lo, hi - c)
-    first = np.maximum(_FIRST_NODES, np.minimum(
-        4097, (3.0 * T / np.maximum(prox, 1e-6)).astype(int) | 1))
-
-    log_abs = np.empty_like(z)
-    sign = np.empty_like(z)
-    specs = []
-    for k in range(band.size):
-        rows = np.flatnonzero(where == k)
-        sums, nodes = _band_sums(lnz[rows], c[k], g0[k], T[k],
-                                 int(first[k]), ratio, rtol)
-        sign[rows] = np.sign(sums)
-        with np.errstate(divide="ignore"):
-            # raw line integral of F over [-T, T] carries the 1/(2 pi)
-            log_abs[rows] = (g0[k] - c[k] * lnz[rows] + np.log(np.abs(sums))
-                             - _LN2PI)
-        specs.append(MellinBarnesSpec(
-            *parts, band=(math.exp(band[k] * _BAND_LOG),
-                          math.exp((band[k] + 1) * _BAND_LOG)),
-            abscissa=float(c[k]), half_length=float(T[k]), nodes=nodes))
+        log_abs = np.empty_like(z)
+        sign = np.empty_like(z)
+        specs = []
+        for k, line in enumerate(lines):
+            rows = np.flatnonzero(where == k)
+            sums, nodes = _band_sums(lnz[rows], line, ratio, rtol)
+            sign[rows] = np.sign(sums)
+            with np.errstate(divide="ignore"):
+                # raw line integral of F over [-T, T] carries the 1/(2 pi)
+                log_abs[rows] = (line.g0 - line.c * lnz[rows]
+                                 + np.log(np.abs(sums)) - _LN2PI)
+            specs.append(MellinBarnesSpec(
+                *parts, band=(math.exp(band[k] * _BAND_LOG),
+                              math.exp((band[k] + 1) * _BAND_LOG)),
+                abscissa=line.c, half_length=line.T, nodes=nodes))
     return log_abs, sign, tuple(specs)
 
 

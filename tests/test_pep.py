@@ -8,6 +8,7 @@ from scipy.special import exp1
 
 from lisnoma import (build_event, default_config, pep_clt, pep_conditional,
                      pep_general, pep_m1, pep_quadrature)
+from lisnoma.pep import _eta_exp_e1
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
 
@@ -115,6 +116,18 @@ def test_single_element_closed_form_expression(cfg1, event_u1_m1):
     want = eta * math.exp(eta) * exp1(eta)
     assert got.raw == pytest.approx(want, rel=1e-12)
     assert got.method == "m1"
+
+
+def test_eta_exp_e1_matches_mpmath():
+    # both sides of the switch to the asymptotic series at eta = 50, and
+    # the points 30 <= eta < 50 where that series is still short of 1e-15
+    import mpmath as mp
+    etas = list(np.geomspace(1e-3, 1e3, 121)) + [
+        29.999, 30.0, 31.0, 39.43, 40.0, 43.82, 49.999, 50.0, 50.001]
+    with mp.workdps(40):
+        for eta in etas:
+            want = mp.mpf(eta) * mp.exp(eta) * mp.e1(eta)
+            assert abs(_eta_exp_e1(eta) - want) <= 1e-15 * want, eta
 
 
 def test_single_element_scale_consistency():

@@ -5,13 +5,18 @@ digits and are frozen here; the two evaluation paths are also checked
 against each other and against elementary identities.
 """
 
+import collections
+import hashlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
-from lisnoma import fit_gparams
+from lisnoma import fit_gparams, specfun
 from lisnoma.pdf_approx import pdf_g, quadrature_domain
 from lisnoma.specfun import (ConvergenceError, _contour_log, _offsets_1443,
                              _series_2012, meijer_g_1443, meijer_g_2012)
@@ -220,3 +225,153 @@ def test_averaging_transform_mpmath_referee_live():
             assert abs(float(mp.im(ref))) < 1e-20
             got = meijer_g_1443(zeta, a3, a4, a5)
             assert got == pytest.approx(float(mp.re(ref)), rel=1e-8)
+
+
+# sha256 of the float64 bytes of each kernel on a fixed grid, at the fits
+# for M = 1, 3, 6, 15 and 32. The 2012 grid covers the series range too,
+# where M >= 3 sends many points to the contour (above z = 2 at M = 32).
+# loggamma, exp and cos come from the platform's libm and numpy's own
+# vector loops, so the bits are pinned only for the versions below.
+KERNEL_VERSIONS = ("2.4.6", "1.17.1")     # numpy, scipy
+KERNEL_ZETAS = np.geomspace(1e-4, 1e6, 161)
+KERNEL_ZS = np.concatenate([np.linspace(0.25, 10.0, 40),
+                            np.geomspace(10.05, 400.0, 120)])
+KERNEL_GOLDEN = {
+    1: ("6819ab5ba6465000f3861492bda214caf8ec9ac4f274a693d36de4447ef17514",
+        "f71d6a59f8f0504fbbe0dffff9f2bd6041f8c2f2ebf6914bf6cf88b4dc37baa7"),
+    3: ("26108907b41c602c643499c381e9e5f0e4a5df8b02c75e05eee8ff1548fc611a",
+        "c06252c8a435a883c1d529990b3a88871015ccf59a8ccdc76aaca7273de86cb4"),
+    6: ("8ac008f0d50fc1fc7bfd2b4ce17f99d6b6e53d93f51bcaefc3eda131860de195",
+        "e425a0754f05794f8a10de3d420828fd89e746ed9f78d506362d66c1eaeb4b55"),
+    15: ("dc22f2fad555692d5e06b4d107793205b0752a208adc2a01649d16d3b799ecff",
+         "d21807feaf046e9c8d61adcbd80df747dc7c6b25e7f411298817e7f6199760cb"),
+    32: ("f0b96ebbcf7ad244844b87a1d0ad9a553b8e9837b8a3d910905cfb07a0a2457c",
+         "dee26f19d1a43a33e12767c582e6d37bdddec759b5b2a5036fe6f3435bff074b"),
+}
+
+
+def _kernel_digest(values) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("M", sorted(KERNEL_GOLDEN))
+def test_kernel_bits_are_pinned(M):
+    if (np.__version__, scipy.__version__) != KERNEL_VERSIONS:
+        pytest.skip("kernel digests were recorded with numpy %s and scipy %s"
+                    % KERNEL_VERSIONS)
+    p = fit_gparams(M, 0.5)
+    got = (_kernel_digest(meijer_g_1443(KERNEL_ZETAS, p.a3, p.a4, p.a5)),
+           _kernel_digest(meijer_g_2012(KERNEL_ZS, p.a3, p.a4, p.a5)))
+    assert got == KERNEL_GOLDEN[M]
+
+
+# arguments for the memo tests: the 2012 grid reaches the contour above
+# z = 10 (and below it where the series declines); together the two grids
+# span 51 bands, fewer than the memo keeps
+MEMO_ZS = np.concatenate([np.linspace(2.0, 10.0, 9),
+                          np.geomspace(10.5, 150.0, 40)])
+MEMO_ZETAS = np.geomspace(1e-2, 1e1, 60)
+
+
+def _memo_values(M):
+    p = fit_gparams(M, 0.5)
+    return (meijer_g_2012(MEMO_ZS, p.a3, p.a4, p.a5),
+            meijer_g_1443(MEMO_ZETAS, p.a3, p.a4, p.a5))
+
+
+def _touch_many_bands():
+    # more bands than the memo keeps, at offsets the tests do not use
+    a3, a4, a5 = M6_PARAMS
+    zetas = np.geomspace(1e-6, 1e12, 400)
+    assert np.unique(np.floor(np.log(zetas) / specfun._BAND_LOG)).size \
+        > specfun._MAX_LINES
+    meijer_g_1443(zetas, a3, a4, a5)
+
+
+@pytest.mark.parametrize("M", [1, 3, 32])
+def test_value_does_not_depend_on_the_call_history(M):
+    specfun._LINES.clear()
+    cold = _memo_values(M)
+
+    # warm: some of the same bands built by sparser and denser calls,
+    # other bands, and other offsets
+    specfun._LINES.clear()
+    p = fit_gparams(M, 0.5)
+    meijer_g_1443(MEMO_ZETAS[::7], p.a3, p.a4, p.a5)
+    meijer_g_1443(np.geomspace(5e-4, 3e2, 301), p.a3, p.a4, p.a5)
+    meijer_g_2012(MEMO_ZS[-5:], p.a3, p.a4, p.a5)
+    meijer_g_2012(np.geomspace(40.0, 900.0, 80), *M3_PARAMS)
+    warm = _memo_values(M)
+
+    _touch_many_bands()
+    evicted = _memo_values(M)
+    for a, b, c in zip(cold, warm, evicted):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_warm_band_evaluates_no_gamma_factors(monkeypatch):
+    specfun._LINES.clear()
+    _memo_values(3)
+    calls = []
+    log = specfun._GammaRatio.log
+
+    def counted(self, s):
+        calls.append(np.size(s))
+        return log(self, s)
+
+    monkeypatch.setattr(specfun._GammaRatio, "log", counted)
+    again = _memo_values(3)
+    assert calls == []
+    specfun._LINES.clear()
+    assert all(np.array_equal(a, b) for a, b in zip(again, _memo_values(3)))
+    assert calls        # a cold memo does evaluate them
+
+
+def test_memo_never_exceeds_its_cap(monkeypatch):
+    sizes = []
+
+    class Watched(collections.OrderedDict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(specfun, "_LINES", Watched())
+    for M in (1, 3, 32):
+        _memo_values(M)
+    _touch_many_bands()
+    assert max(sizes) == len(specfun._LINES) == specfun._MAX_LINES
+
+
+def test_threads_sharing_the_memo_get_the_cold_values():
+    # threads building and extending the same lines at once: a doubling
+    # level lost or appended twice would shift values or break a shape
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for M in (3, 32):
+            specfun._LINES.clear()
+            cold = _memo_values(M)
+            for _ in range(5):
+                specfun._LINES.clear()
+                got, errors = [], []
+
+                def work():
+                    try:
+                        got.append(_memo_values(M))
+                    except Exception as exc:    # reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work) for _ in range(6)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+                assert len(got) == 6
+                for vals in got:
+                    assert all(np.array_equal(a, b)
+                               for a, b in zip(vals, cold))
+    finally:
+        sys.setswitchinterval(interval)
