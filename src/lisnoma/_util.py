@@ -162,6 +162,14 @@ def sample_sums(M: int, sigma2: float, count: int, seed: int,
     return s
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_panels(f, lo: float, hi: float, *, abs_tol: float = 1e-10,
                           order: int = 48, max_panels: int = 4096) -> float:
     """Integrate a vectorized callable on a mesh graded toward ``lo``.
@@ -176,7 +184,7 @@ def gauss_legendre_panels(f, lo: float, hi: float, *, abs_tol: float = 1e-10,
     """
     if hi <= lo:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _legendre_rule(order)
     breaks = lo + (hi - lo) * np.r_[0.0, np.exp2(-np.arange(40.0, -1.0, -1.0))]
     per_level, vals = 1, []
     while per_level * (breaks.size - 1) <= max_panels:

@@ -18,7 +18,9 @@ otherwise; the CLI keeps the one table from method names to forms.
 
 from __future__ import annotations
 
+import collections
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
@@ -34,6 +36,12 @@ from .specfun import meijer_g_1443_log, q_function
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
+_MAX_TABLE_VALUES = 1 << 20   # floats kept in _TABLES, nodes and values: 8 MB
+
+# (pdf model, M, sigma2, D, node count) -> (nodes, density at the nodes)
+# for the quadrature meshes, least recently used first
+_TABLES = collections.OrderedDict()
+_TABLES_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=256)
@@ -272,7 +280,9 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     half line [0, hi] with hi leaving under 1e-9 of mass outside, on a mesh
     graded geometrically toward 0, where the M <= 3 fitted density
     oscillates log-periodically. Raises ConvergenceError if the mesh reaches its
-    panel cap before meeting ``abs_tol``.
+    panel cap before meeting ``abs_tol``. The density on each mesh is kept
+    for later calls on the same density (see ``_tabulated``), so a sweep
+    over SNR points or events evaluates it once per mesh.
     """
     if kernel not in ("chernoff", "exact"):
         raise ValueError("kernel must be 'chernoff' or 'exact'")
@@ -294,6 +304,37 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
 
     hi = quadrature_domain(config.M, config.sigma2, D)
     exact = kernel == "exact"
+    key = (pdf_model, config.M, config.sigma2, D)
     return gauss_legendre_panels(
-        lambda x: pep_conditional(x, event, exact, N0) * density(x), 0.0, hi,
-        abs_tol=abs_tol)
+        lambda x: (pep_conditional(x, event, exact, N0)
+                   * _tabulated(key, density, x)), 0.0, hi, abs_tol=abs_tol)
+
+
+def _tabulated(key, density, x):
+    """density(x) on one whole quadrature mesh, from _TABLES when it is there.
+
+    The mesh and the density do not depend on the SNR point or the event,
+    so every call on one (model, M, sigma2, D) visits the same meshes. A
+    lookup hits only when ``x`` equals the stored nodes element for
+    element; a miss evaluates the density on the whole of ``x``, as a
+    call without the memo would, because a kernel value can depend on the
+    points that share its batch. The memo keeps at most _MAX_TABLE_VALUES
+    floats and drops the least recently used mesh.
+    """
+    key = key + (x.size,)
+    with _TABLES_LOCK:
+        hit = _TABLES.get(key)
+        if hit is not None and np.array_equal(hit[0], x):
+            _TABLES.move_to_end(key)
+            return hit[1]
+    fx = density(x)
+    if 2 * x.size <= _MAX_TABLE_VALUES:
+        nodes = x.copy()
+        nodes.flags.writeable = fx.flags.writeable = False
+        with _TABLES_LOCK:
+            _TABLES.pop(key, None)
+            kept = 2 * x.size + sum(2 * v[0].size for v in _TABLES.values())
+            while kept > _MAX_TABLE_VALUES:
+                kept -= 2 * _TABLES.popitem(last=False)[1][0].size
+            _TABLES[key] = (nodes, fx)
+    return fx

@@ -380,14 +380,16 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
         term = np.ones_like(z, dtype=complex)
         acc = np.ones_like(z, dtype=complex)
         accmag = np.ones_like(z)
-        converged = np.zeros_like(z, dtype=bool)
         for k in range(max_terms):
-            term = term * (alpha + k) * z / ((beta + k) * (k + 1))
-            acc = acc + term
-            accmag = accmag + np.abs(term)
-            small = np.abs(term) <= rtol * np.abs(acc)
-            converged |= small
-            if small.all() and k > 3:
+            # in place, one factor at a time, in the left-to-right order
+            # of term * (alpha + k) * z / ((beta + k) * (k + 1))
+            term *= alpha + k
+            term *= z
+            term /= (beta + k) * (k + 1)
+            acc += term
+            size = np.abs(term)
+            accmag += size
+            if k > 3 and (size <= rtol * np.abs(acc)).all():
                 break
         else:
             raise ConvergenceError("residue series exhausted its term budget")

@@ -1,13 +1,17 @@
 """Pairwise error probabilities: event algebra and the closed forms."""
 
+import collections
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import exp1
 
-from lisnoma import (build_event, default_config, pep_clt, pep_conditional,
-                     pep_general, pep_m1, pep_quadrature)
+from lisnoma import (build_event, default_config, pep, pep_clt,
+                     pep_conditional, pep_general, pep_m1, pep_quadrature)
 from lisnoma.pep import _eta_exp_e1
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
@@ -193,3 +197,135 @@ def test_method_restrictions(cfg, event_u1):
         pep_m1(cfg, 1, event_u1, snr_db=10.0)   # needs M = 1
     with pytest.raises(ValueError):
         pep_quadrature(cfg, 1, event_u1, snr_db=10.0, pdf_model="dr")
+
+
+# ---------------------------------------------------------------------------
+# density tables of the quadrature referee
+
+# the coarsest mesh: 41 graded levels of one 48-node panel each
+_FIRST_MESH = 41 * 48
+
+
+def _sweep():
+    """Quadrature calls over every density model, user, kernel and SNR.
+
+    The tolerance varies with the SNR point, so calls stop after different
+    numbers of meshes and later calls reuse tables of earlier ones.
+    """
+    calls = []
+    for M, model in ((1, "g"), (3, "g"), (15, "g"), (1, "dr"), (15, "clt")):
+        cfg = default_config(M=M)
+        for user in (1, 2):
+            ev = build_event(cfg, user, (1.0, 1.0), -1.0,
+                             sic_errors=(0.0,) * (user - 1))
+            for kernel in ("chernoff", "exact"):
+                for snr, tol in ((0.0, 1e-14), (20.0, 1e-16), (40.0, 1e-18)):
+                    calls.append((cfg, user, ev, snr, model, kernel, tol))
+    return calls
+
+
+def _run(call):
+    cfg, user, ev, snr, model, kernel, tol = call
+    return pep_quadrature(cfg, user, ev, snr_db=snr, pdf_model=model,
+                          kernel=kernel, abs_tol=tol)
+
+
+@pytest.fixture(scope="module")
+def cold_values():
+    calls = _sweep()
+    values = []
+    for call in calls:
+        pep._TABLES.clear()
+        values.append(_run(call))
+    return calls, values
+
+
+def test_warm_tables_give_the_cold_values_in_any_order(cold_values):
+    calls, cold = cold_values
+    order = list(range(len(calls)))
+    pep._TABLES.clear()
+    for i in order[::-1]:
+        assert _run(calls[i]) == cold[i]
+    random.Random(11).shuffle(order)
+    for i in order:                 # every table is warm now
+        assert _run(calls[i]) == cold[i]
+    assert pep._TABLES
+
+
+def test_tables_never_exceed_their_bound(monkeypatch, cold_values):
+    kept, stored, evaluated = [], set(), set()
+
+    class Watched(collections.OrderedDict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            stored.add(value[0].size)
+            kept.append(sum(2 * v[0].size for v in self.values()))
+
+    density = pep.pdf_g
+
+    def recorded(x, *args, **kwargs):
+        evaluated.add(x.size)
+        return density(x, *args, **kwargs)
+
+    # the meshes hold 1, 2, 4, 8 and 16 times the coarsest one's nodes:
+    # room for the third and fourth together, never for the fifth
+    bound = 2 * 12 * _FIRST_MESH
+    monkeypatch.setattr(pep, "_MAX_TABLE_VALUES", bound)
+    monkeypatch.setattr(pep, "_TABLES", Watched())
+    monkeypatch.setattr(pep, "pdf_g", recorded)
+    calls, cold = cold_values
+    for call, value in zip(calls, cold):
+        assert _run(call) == value
+    assert max(kept) == bound       # evicting down to the bound, not below
+    assert 16 * _FIRST_MESH in evaluated - stored
+    assert {1, 2, 4, 8} == {n // _FIRST_MESH for n in stored}
+
+
+def test_each_mesh_reaches_the_density_once(monkeypatch):
+    seen = []
+    density = pep.pdf_g
+
+    def recorded(x, *args, **kwargs):
+        seen.append(x.tobytes())
+        return density(x, *args, **kwargs)
+
+    monkeypatch.setattr(pep, "pdf_g", recorded)
+    monkeypatch.setattr(pep, "_TABLES", collections.OrderedDict())
+    cfg = default_config(M=3)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    for snr in (0.0, 10.0, 20.0, 30.0, 40.0):
+        for kernel in ("chernoff", "exact"):
+            pep_quadrature(cfg, 1, ev, snr_db=snr, kernel=kernel,
+                           abs_tol=1e-13)
+    assert len(seen) > 1
+    assert len(set(seen)) == len(seen)
+
+
+def test_threads_sharing_the_tables_get_the_cold_values(cold_values):
+    calls, cold = cold_values
+    picked = [i for i, c in enumerate(calls) if c[0].M == 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pep._TABLES.clear()
+        got, errors = [], []
+
+        def work(seed):
+            order = picked[:]
+            random.Random(seed).shuffle(order)
+            try:
+                got.append({i: _run(calls[i]) for i in order})
+            except Exception as exc:    # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(got) == 4
+    assert all(run == {i: cold[i] for i in picked} for run in got)
