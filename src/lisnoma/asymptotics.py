@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from scipy import special as sp
 
@@ -35,7 +35,7 @@ class AsymptoticPep:
 
 
 def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
-                   snr_db: Optional[float] = None) -> AsymptoticPep:
+                   snr_db: float) -> AsymptoticPep:
     """Leading four-term expansion of the averaged Chernoff bound.
 
     Each term is the first residue of one pole family of the kernel
@@ -43,7 +43,7 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     coefficients; those are reported and the exact contour value is
     returned instead of a masked evaluation.
     """
-    N0 = _resolve_n0(config, snr_db)
+    N0 = _resolve_n0(snr_db)
     p = _fit(config.M, config.sigma2)
     zeta, log_k = _chernoff_args(p, config.distance_factor(user), [event],
                                  [N0])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,8 +174,7 @@ def _auto_tilt(M: int, r: float) -> float:
 
 
 def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
-                 snr_db: Optional[float] = None,
-                 trials: int = 1_000_000, seed: int = 0,
+                 snr_db: float, trials: int = 1_000_000, seed: int = 0,
                  importance: bool = False) -> PepEstimate:
     """Unbiased Monte Carlo estimate of the exact unconditional PEP.
 
@@ -195,7 +194,7 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    N0 = _resolve_n0(config, snr_db)
+    N0 = _resolve_n0(snr_db)
     lam = event.lam_at(N0)
     th = event.vartheta
     sigma2 = config.sigma2

@@ -480,58 +480,41 @@ def check_parameter_trend(quick: bool = False):
 # ---------------------------------------------------------------------------
 # 10: adjudication of the two published large-M readings
 
-def run_adjudication(snrs: Sequence[float] = (0.0, 10.0, 20.0, 30.0),
-                     M: int = 15) -> dict:
-    """Evaluate both large-M closed-form readings against quadrature.
+def check_adjudication(quick: bool = False):
+    """Both large-M closed-form readings against quadrature at M = 15.
 
     The two readings differ in whether the distance product enters the
-    quadratic coefficient of the Gaussian average. Returns a report of
-    per-point relative errors and which reading (if either) stays within
-    ten percent of the oracle.
+    quadratic coefficient of the Gaussian average. The detail reports the
+    worst relative error of each and which (if either) stays within ten
+    percent of the oracle.
     """
-    cfg = default_config(M=M)
-    points = []
-    worst = {"scaled": 0.0, "unscaled": 0.0}
-    for user in (1, 2):
-        ev = build_event(cfg, user, (1.0, 1.0), -1.0,
-                         sic_errors=(0.0,) if user == 2 else None)
-        for s in snrs:
-            sc = pep_clt(cfg, user, ev, snr_db=s, variant="scaled")
-            un = pep_clt(cfg, user, ev, snr_db=s, variant="unscaled")
-            ref = pep_quadrature(cfg, user, ev, snr_db=s, pdf_model="clt",
-                                 abs_tol=max(sc.raw * 1e-8, 1e-280))
-            rel_s = abs(sc.raw - ref) / ref
-            rel_u = abs(un.raw - ref) / ref
-            worst["scaled"] = max(worst["scaled"], rel_s)
-            worst["unscaled"] = max(worst["unscaled"], rel_u)
-            points.append({"user": user, "snr_db": s, "oracle": ref,
-                           "scaled": sc.raw, "unscaled": un.raw,
-                           "rel_scaled": rel_s, "rel_unscaled": rel_u})
-    within = {k: v <= 0.10 for k, v in worst.items()}
-    if within["scaled"] and not within["unscaled"]:
-        verdict = "scaled"
-    elif within["unscaled"] and not within["scaled"]:
-        verdict = "unscaled"
-    elif within["scaled"] and within["unscaled"]:
-        verdict = "both"
-    else:
-        verdict = "neither"
-    return {"M": M, "snr_db": list(snrs), "points": points,
-            "max_rel": worst, "within_10pct": within, "verdict": verdict}
-
-
-def check_adjudication(quick: bool = False):
     t0 = time.perf_counter()
+    M = 15
+    cfg = default_config(M=M)
+    worst = {"scaled": 0.0, "unscaled": 0.0}
     try:
-        report = run_adjudication()
+        for user in (1, 2):
+            ev = build_event(cfg, user, (1.0, 1.0), -1.0,
+                             sic_errors=(0.0,) if user == 2 else None)
+            for s in (0.0, 10.0, 20.0, 30.0):
+                sc = pep_clt(cfg, user, ev, snr_db=s, variant="scaled")
+                un = pep_clt(cfg, user, ev, snr_db=s, variant="unscaled")
+                ref = pep_quadrature(cfg, user, ev, snr_db=s, pdf_model="clt",
+                                     abs_tol=max(sc.raw * 1e-8, 1e-280))
+                worst["scaled"] = max(worst["scaled"],
+                                      abs(sc.raw - ref) / ref)
+                worst["unscaled"] = max(worst["unscaled"],
+                                        abs(un.raw - ref) / ref)
     except Exception as exc:   # report must exist even on numerical failure
         return [_result("10", "large-M reading adjudication", False,
                         f"adjudication did not produce a report: {exc!r}",
                         t0)]
-    detail = (f"report produced at M={report['M']}: scaled reading max rel "
-              f"{report['max_rel']['scaled']:.1e}, unscaled "
-              f"{report['max_rel']['unscaled']:.1e}; within 10%: "
-              f"{report['verdict']}")
+    within = [k for k, v in worst.items() if v <= 0.10]
+    verdict = ("both" if len(within) == 2 else within[0] if within
+               else "neither")
+    detail = (f"report produced at M={M}: scaled reading max rel "
+              f"{worst['scaled']:.1e}, unscaled "
+              f"{worst['unscaled']:.1e}; within 10%: {verdict}")
     return [_result("10", "large-M reading adjudication", True, detail, t0)]
 
 

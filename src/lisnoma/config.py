@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BPSK = (-1.0, 1.0)
 
@@ -21,12 +21,15 @@ _SUM_TOL = 1e-12
 class SystemConfig:
     """Immutable description of one downlink scenario.
 
+    A scenario holds the physical inputs only, each once. The user count
+    is the length of ``d_R``, ``P`` and ``constellation``, which must
+    agree. The mean SNR 1 / N0 is not part of it: every call that needs a
+    noise level takes its SNR point as an argument.
+
     Attributes
     ----------
     M : int
         Number of reflecting elements, M >= 1.
-    L : int
-        Number of multiplexed users. User 1 is the far user.
     sigma2 : float
         Per-element Rayleigh parameter; each hop magnitude has
         E[r^2] = 2 * sigma2.
@@ -38,39 +41,38 @@ class SystemConfig:
         Surface-to-user distances, strictly decreasing (far user first).
     P : tuple of float
         Power allocation, strictly decreasing, summing to one.
-    N0 : float
-        Noise spectral density. The mean SNR is 1 / N0.
     constellation : tuple of tuple of float
         Per-user symbol alphabets, each with unit average energy.
     """
 
     M: int
-    L: int = 2
     sigma2: float = 0.5
     alpha: float = 3.0
     d_B: float = 1.0
     d_R: tuple = (5.0, 2.0)
     P: tuple = (0.8, 0.2)
-    N0: float = 1.0
     constellation: tuple = (BPSK, BPSK)
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "d_R", tuple(float(d) for d in self.d_R))
         object.__setattr__(self, "P", tuple(float(p) for p in self.P))
         object.__setattr__(
             self, "constellation",
             tuple(tuple(float(s) for s in c) for c in self.constellation))
-        if self.L != len(self.d_R) or self.L != len(self.P):
-            raise ValueError("L, d_R and P must agree in length")
-        if self.L != len(self.constellation):
-            raise ValueError("one constellation per user is required")
+        # NaN fails every comparison below, so each check would pass it
+        values = (self.M, self.sigma2, self.alpha, self.d_B, *self.d_R,
+                  *self.P, *(s for c in self.constellation for s in c))
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("scenario values must be finite")
+        if int(self.M) != self.M or self.M < 1:
+            raise ValueError("M must be a positive integer")
+        object.__setattr__(self, "M", int(self.M))
+        if not len(self.d_R) == len(self.P) == len(self.constellation):
+            raise ValueError("d_R, P and constellation must agree in length")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
-        if self.alpha <= 0 or self.d_B <= 0 or self.N0 <= 0:
-            raise ValueError("alpha, d_B and N0 must be positive")
+        if self.alpha <= 0 or self.d_B <= 0:
+            raise ValueError("alpha and d_B must be positive")
         # far user first
         if any(a <= b for a, b in zip(self.d_R, self.d_R[1:])):
             raise ValueError("d_R must be strictly decreasing")
@@ -85,16 +87,15 @@ class SystemConfig:
             if abs(energy - 1.0) > _SUM_TOL:
                 raise ValueError("constellations must have unit average energy")
 
+    @property
+    def L(self) -> int:
+        """Number of multiplexed users. User 1 is the far user."""
+        return len(self.P)
+
     def distance_factor(self, user: int) -> float:
         """Combined path-loss factor d_B^alpha * d_R^alpha for one user."""
         self._check_user(user)
         return (self.d_B ** self.alpha) * (self.d_R[user - 1] ** self.alpha)
-
-    def snr_db(self) -> float:
-        return -10.0 * math.log10(self.N0)
-
-    def with_snr_db(self, snr_db: float) -> "SystemConfig":
-        return dataclasses.replace(self, N0=10.0 ** (-snr_db / 10.0))
 
     def replace(self, **kw) -> "SystemConfig":
         return dataclasses.replace(self, **kw)
@@ -103,24 +104,6 @@ class SystemConfig:
         if not 1 <= user <= self.L:
             raise ValueError(f"user must be in 1..{self.L}")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["d_R"] = list(self.d_R)
-        d["P"] = list(self.P)
-        d["constellation"] = [list(c) for c in self.constellation]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemConfig":
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemConfig":
-        return cls.from_dict(json.loads(text))
-
 
 def default_config(M: int = 3, **kw) -> SystemConfig:
     """Reference two-user scenario used throughout the tests and demos."""
@@ -128,8 +111,9 @@ def default_config(M: int = 3, **kw) -> SystemConfig:
 
 
 def load_scenario(path) -> SystemConfig:
+    """Scenario from a JSON object whose keys are SystemConfig fields."""
     with open(path, "r", encoding="utf-8") as fh:
-        return SystemConfig.from_dict(json.load(fh))
+        return SystemConfig(**json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,8 @@ class GParams:
 
     ``a4`` and ``a5`` are the lower kernel parameters, a complex conjugate
     pair when ``complex_pair`` is set (small M). ``a6 = a4 + a5`` and
-    ``a7 = a4 - a5`` are kept for reference; ``phi`` holds the four
-    moment ratios the fit matched. ``log_a1`` is the reliable form of the
-    normalizing constant for heavy parameter regimes.
+    ``a7 = a4 - a5`` are kept for reference. ``log_a1`` is the reliable
+    form of the normalizing constant for heavy parameter regimes.
     """
 
     M: int
@@ -54,7 +53,6 @@ class GParams:
     a5: complex
     a6: float
     a7: complex
-    phi: tuple
     complex_pair: bool
 
     def __post_init__(self):
@@ -109,7 +107,7 @@ def fit_gparams(M: int, sigma2: float = 0.5) -> GParams:
 
     params = GParams(
         M=int(M), sigma2=float(sigma2), a1=a1, log_a1=log_a1, a2=float(a2),
-        a3=float(a3), a4=a4, a5=a5, a6=float(a6), a7=a7, phi=(mu1, p2, p3, p4),
+        a3=float(a3), a4=a4, a5=a5, a6=float(a6), a7=a7,
         complex_pair=bool(abs(a7.imag) > 0))
 
     # cheap self-check: the fitted kernel must integrate to one

@@ -3,9 +3,11 @@
 An error event fixes the transmitted symbol tuple, the detector's wrong
 hypothesis for one user, and the SIC decisions for the users detected
 before it. The event collapses into two scalars: the signal projection
-``vartheta`` and the noise scale ``lambda``. Conditioned on the channel
-gain q, the pairwise probability is Q(q * vartheta / lambda); averaging
-over a density model for q gives the closed forms here.
+``vartheta`` and the hypothesis gap ``delta_bar``, which sets the noise
+scale lambda = |delta_bar| sqrt(2 N0) at each SNR point. Conditioned on
+the channel gain q, the pairwise probability is Q(q * vartheta / lambda);
+averaging over a density model for q gives the closed forms here. Every
+form takes its SNR point as a required argument.
 
 All closed forms are Chernoff-type upper bounds driven by vartheta**2,
 so they are sign-blind: events with vartheta <= 0 (interference aligned
@@ -30,7 +32,7 @@ from scipy import special as sp
 
 from ._util import gauss_legendre_panels
 from .config import SystemConfig
-from .pdf_approx import (CltParams, GParams, clt_params, fit_gparams, pdf_clt,
+from .pdf_approx import (GParams, clt_params, fit_gparams, pdf_clt,
                          pdf_double_rayleigh, pdf_g, quadrature_domain)
 from .specfun import meijer_g_1443_log, q_function
 
@@ -49,11 +51,6 @@ def _fit(M: int, sigma2: float) -> GParams:
     return fit_gparams(M, sigma2)
 
 
-@lru_cache(maxsize=256)
-def _clt(M: int, sigma2: float) -> CltParams:
-    return clt_params(M, sigma2)
-
-
 @dataclass(frozen=True)
 class ErrorEvent:
     """One pairwise error hypothesis, reduced to its scalar form."""
@@ -65,7 +62,6 @@ class ErrorEvent:
     delta_bar: float
     X: float
     vartheta: float
-    lam: float          # noise scale at the config's own N0
 
     @property
     def flagged(self) -> bool:
@@ -116,20 +112,18 @@ def build_event(config: SystemConfig, user: int, x: Sequence[float],
         X += roots[j] * x[j]
 
     vartheta = roots[user - 1] * delta_bar ** 2 + 2.0 * delta_bar * X
-    lam = abs(delta_bar) * math.sqrt(2.0 * config.N0)
     return ErrorEvent(user=user, x=x, xbar=float(xbar),
                       sic_errors=sic_errors, delta_bar=delta_bar, X=X,
-                      vartheta=vartheta, lam=lam)
+                      vartheta=vartheta)
 
 
-def pep_conditional(q, event: ErrorEvent, exact: bool = True,
-                    N0: Optional[float] = None):
-    """Pairwise probability conditioned on the channel gain q.
+def pep_conditional(q, event: ErrorEvent, N0: float, exact: bool = True):
+    """Pairwise probability conditioned on the channel gain q, at noise N0.
 
     The exact path keeps the sign of vartheta (opposed interference gives
     values above one half); the Chernoff path is sign-blind.
     """
-    lam = event.lam if N0 is None else event.lam_at(N0)
+    lam = event.lam_at(N0)
     q = np.asarray(q, dtype=float)
     if exact:
         return q_function(q * event.vartheta / lam)
@@ -145,9 +139,8 @@ class PepValue:
     flagged: bool
 
 
-def _resolve_n0(config: SystemConfig, snr_db: Optional[float]) -> float:
-    if snr_db is None:
-        return config.N0
+def _resolve_n0(snr_db: float) -> float:
+    """Noise spectral density N0 at a mean SNR of ``snr_db`` dB."""
     return 10.0 ** (-float(snr_db) / 10.0)
 
 
@@ -189,21 +182,21 @@ def _log_pep_general(config: SystemConfig, user: int,
 
 
 def pep_general(config: SystemConfig, user: int, event: ErrorEvent,
-                snr_db: Optional[float] = None) -> PepValue:
+                snr_db: float) -> PepValue:
     """Closed-form Chernoff bound for any M, via the averaged kernel."""
-    N0 = _resolve_n0(config, snr_db)
+    N0 = _resolve_n0(snr_db)
     log_raw = _log_pep_general(config, user, [event], [N0])[0]
     return _finish(float(log_raw), "general", event)
 
 
 def pep_m1(config: SystemConfig, user: int, event: ErrorEvent,
-           snr_db: Optional[float] = None) -> PepValue:
+           snr_db: float) -> PepValue:
     """Exact Chernoff average against the single-element density."""
     if config.M != 1:
         raise ValueError("this form holds only for a single element")
     if event.vartheta == 0:
         raise ValueError("vartheta must be nonzero")
-    N0 = _resolve_n0(config, snr_db)
+    N0 = _resolve_n0(snr_db)
     lam2 = 2.0 * N0 * event.delta_bar ** 2
     D = config.distance_factor(user)
     eta = lam2 * D / (2.0 * config.sigma2 ** 2 * event.vartheta ** 2)
@@ -231,8 +224,7 @@ def _eta_exp_e1(eta: float) -> float:
 
 
 def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
-            snr_db: Optional[float] = None,
-            variant: str = "scaled") -> PepValue:
+            snr_db: float, variant: str = "scaled") -> PepValue:
     """Gaussian-limit Chernoff bound, intended for M above 10.
 
     Two published variants of the same bound exist; they differ in
@@ -242,10 +234,10 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
     """
     if event.vartheta == 0:
         raise ValueError("vartheta must be nonzero")
-    N0 = _resolve_n0(config, snr_db)
+    N0 = _resolve_n0(snr_db)
     lam2 = 2.0 * N0 * event.delta_bar ** 2
     D = config.distance_factor(user)
-    cp = _clt(config.M, config.sigma2)
+    cp = clt_params(config.M, config.sigma2)
     mu, var = cp.mu_bar, cp.sigma_bar2
     th2 = event.vartheta ** 2
 
@@ -270,7 +262,7 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
 
 
 def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
-                   snr_db: Optional[float] = None, pdf_model: str = "g",
+                   snr_db: float, pdf_model: str = "g",
                    kernel: str = "chernoff", abs_tol: float = 1e-10) -> float:
     """Reference numerical average of the conditional probability.
 
@@ -286,7 +278,7 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     """
     if kernel not in ("chernoff", "exact"):
         raise ValueError("kernel must be 'chernoff' or 'exact'")
-    N0 = _resolve_n0(config, snr_db)
+    N0 = _resolve_n0(snr_db)
     D = config.distance_factor(user)
 
     # partial looks each density up here, so a replaced module attribute
@@ -298,7 +290,8 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
             raise ValueError("the exact single-element density needs M = 1")
         density = partial(pdf_double_rayleigh, sigma2=config.sigma2, D=D)
     elif pdf_model == "clt":
-        density = partial(pdf_clt, params=_clt(config.M, config.sigma2), D=D)
+        density = partial(pdf_clt, params=clt_params(config.M, config.sigma2),
+                          D=D)
     else:
         raise ValueError("unknown pdf model")
 
@@ -306,7 +299,7 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     exact = kernel == "exact"
     key = (pdf_model, config.M, config.sigma2, D)
     return gauss_legendre_panels(
-        lambda x: (pep_conditional(x, event, exact, N0)
+        lambda x: (pep_conditional(x, event, N0, exact)
                    * _tabulated(key, density, x)), 0.0, hi, abs_tol=abs_tol)
 
 

@@ -64,7 +64,7 @@ def _event_raws(config: SystemConfig, user: int, events: tuple,
     if config.M == 1:
         return [[pep_m1(config, user, ev, snr_db=s).raw for ev in events]
                 for s in snr_db]
-    N0 = [_resolve_n0(config, s) for s in snr_db]
+    N0 = [_resolve_n0(s) for s in snr_db]
     logs = _log_pep_general(config, user, [ev for _ in N0 for ev in events],
                             [n0 for n0 in N0 for _ in events])
     return [[_finish(v, "general", ev).raw for v, ev in zip(row, events)]

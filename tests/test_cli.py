@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,9 +255,8 @@ def test_seed_environment_variable(capsys, monkeypatch):
 
 
 def test_scenario_file_round_trip(tmp_path, capsys):
-    from lisnoma import default_config
     path = tmp_path / "scn.json"
-    path.write_text(default_config(M=4, sigma2=0.8).to_json())
+    path.write_text(json.dumps({"M": 4, "sigma2": 0.8}))
     code, out, _ = run(capsys, "moments", "--scenario", str(path))
     assert code == 0
     doc = json.loads(out)
@@ -264,6 +264,41 @@ def test_scenario_file_round_trip(tmp_path, capsys):
     assert doc["manifest"]["scenario"] == str(path)
     assert run(capsys, "moments", "--scenario",
                str(tmp_path / "missing.json"))[0] == 2
+
+
+def test_readme_scenario_example_loads(tmp_path, capsys):
+    # the documented format must stay the one SystemConfig reads
+    from lisnoma import default_config, load_scenario
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "scenario.json"
+    path.write_text(block)
+    assert load_scenario(path) == default_config()
+    code, out, _ = run(capsys, "moments", "--scenario", str(path))
+    assert code == 0
+    assert json.loads(out)["M"] == 3
+
+
+@pytest.mark.parametrize("key", ["N0", "L"])
+def test_scenario_file_with_a_removed_key_is_an_argument_error(
+        tmp_path, capsys, key):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"M": 3, key: 2}))
+    code, out, err = run(capsys, "pep", "--scenario", str(path),
+                         "--method", "general", "--snr", "0:10:5")
+    assert code == 2 and out == ""
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--sigma2", "inf"),
+    ("pep", "--sigma2", "nan", "--method", "general", "--snr", "0:10:5"),
+])
+def test_non_finite_scenario_values_are_argument_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err
 
 
 def test_validate_honest_exit_codes(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -11,7 +12,7 @@ def test_default_scenario_values():
     assert cfg.M == 3 and cfg.L == 2
     assert cfg.P == (0.8, 0.2)
     assert cfg.d_R == (5.0, 2.0) and cfg.d_B == 1.0
-    assert cfg.alpha == 3.0 and cfg.sigma2 == 0.5 and cfg.N0 == 1.0
+    assert cfg.alpha == 3.0 and cfg.sigma2 == 0.5
     assert cfg.constellation == (BPSK, BPSK)
 
 
@@ -30,12 +31,6 @@ def test_overrides_and_replace():
     assert cfg2.M == 9 and cfg2.sigma2 == 1.25 and cfg2.P == (0.8, 0.2)
 
 
-def test_snr_helpers_round_trip():
-    cfg = default_config().with_snr_db(17.0)
-    assert cfg.N0 == pytest.approx(10.0 ** -1.7, rel=1e-14)
-    assert cfg.snr_db() == pytest.approx(17.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("kw", [
     dict(M=0),
     dict(M=2.5),
@@ -43,11 +38,20 @@ def test_snr_helpers_round_trip():
     dict(P=(0.5, 0.5)),         # split must be strictly decreasing
     dict(P=(0.9, 0.2)),         # split must sum to one
     dict(d_R=(2.0, 5.0)),       # far user listed first
-    dict(d_R=(5.0,)),           # length must match L
+    dict(d_R=(5.0,)),           # length must match P
     dict(alpha=0.0),
-    dict(N0=-1.0),
+    dict(sigma2=math.inf),      # NaN and infinity pass every comparison
     dict(constellation=((-1.0, 1.0),)),
     dict(constellation=((-2.0, 2.0), BPSK)),   # unit average energy
+    dict(sigma2=math.nan),
+    dict(alpha=math.nan),
+    dict(alpha=math.inf),
+    dict(d_B=math.inf),
+    dict(d_R=(math.nan, 2.0)),
+    dict(d_R=(math.inf, 2.0)),
+    dict(P=(math.nan, 0.2)),
+    dict(constellation=((-1.0, math.nan), BPSK)),
+    dict(M=math.inf),
 ])
 def test_invalid_configurations_rejected(kw):
     with pytest.raises(ValueError):
@@ -57,15 +61,24 @@ def test_invalid_configurations_rejected(kw):
 def test_json_round_trip(tmp_path):
     cfg = default_config(M=5, sigma2=0.7)
     path = tmp_path / "scenario.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps({
+        "M": 5, "sigma2": 0.7, "alpha": 3.0, "d_B": 1.0, "d_R": [5.0, 2.0],
+        "P": [0.8, 0.2], "constellation": [[-1.0, 1.0], [-1.0, 1.0]]}))
     assert load_scenario(path) == cfg
-    assert SystemConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_single_user_scenario_is_allowed():
-    cfg = SystemConfig(M=3, L=1, d_R=(2.0,), P=(1.0,),
-                       constellation=(BPSK,))
+    cfg = SystemConfig(M=3, d_R=(2.0,), P=(1.0,), constellation=(BPSK,))
+    assert cfg.L == 1
     assert cfg.distance_factor(1) == pytest.approx(8.0)
+
+
+def test_user_count_is_the_length_of_the_power_split():
+    cfg = SystemConfig(M=3, d_R=(6.0, 4.0, 2.0), P=(0.6, 0.3, 0.1),
+                       constellation=(BPSK,) * 3)
+    assert cfg.L == 3
+    assert cfg.replace(d_R=(5.0, 2.0), P=(0.8, 0.2),
+                       constellation=(BPSK,) * 2).L == 2
 
 
 def test_snr_grid_parse_and_db():

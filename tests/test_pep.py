@@ -49,7 +49,7 @@ def test_omitted_residuals_default_to_perfect_cancellation(cfg):
 
 def test_noise_scale_tracks_the_hypothesis_gap(cfg):
     ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
-    assert ev.lam == pytest.approx(2.0 * math.sqrt(2.0 * cfg.N0), rel=1e-12)
+    assert ev.lam_at(1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     assert ev.lam_at(0.01) == pytest.approx(2.0 * math.sqrt(0.02), rel=1e-12)
 
 
@@ -70,24 +70,24 @@ def test_event_validation(cfg):
 # conditional kernels
 
 def test_conditional_at_zero_gain(event_u1):
-    assert float(pep_conditional(0.0, event_u1)) == pytest.approx(0.5)
-    assert float(pep_conditional(0.0, event_u1, exact=False)) == 1.0
+    assert float(pep_conditional(0.0, event_u1, N0=1.0)) == pytest.approx(0.5)
+    assert float(pep_conditional(0.0, event_u1, N0=1.0, exact=False)) == 1.0
 
 
 def test_chernoff_dominates_the_exact_kernel(event_u1):
     qs = np.linspace(0.0, 5.0, 200)
-    exact = pep_conditional(qs, event_u1)
-    chern = pep_conditional(qs, event_u1, exact=False)
+    exact = pep_conditional(qs, event_u1, N0=1.0)
+    chern = pep_conditional(qs, event_u1, N0=1.0, exact=False)
     assert np.all(exact <= chern + 1e-15)
 
 
 def test_opposed_events_exceed_one_half(cfg):
     opposed = build_event(cfg, 2, (1.0, -1.0), 1.0, sic_errors=(2.0,))
-    lo = float(pep_conditional(0.5, opposed))
-    hi = float(pep_conditional(2.0, opposed))
+    lo = float(pep_conditional(0.5, opposed, N0=1.0))
+    hi = float(pep_conditional(2.0, opposed, N0=1.0))
     assert 0.5 < lo < hi < 1.0
     # the Chernoff kernel is sign-blind, so it cannot see the excess
-    assert float(pep_conditional(2.0, opposed, exact=False)) <= 1.0
+    assert float(pep_conditional(2.0, opposed, N0=1.0, exact=False)) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +153,6 @@ def test_closed_form_bookkeeping(cfg, event_u1):
     assert v.raw == pytest.approx(math.exp(v.log_raw), rel=1e-12)
     opposed = build_event(cfg, 2, (1.0, -1.0), 1.0, sic_errors=(2.0,))
     assert pep_general(cfg, 2, opposed, snr_db=12.0).flagged
-
-
-def test_default_snr_comes_from_the_scenario(cfg, event_u1):
-    # N0 = 1 in the reference scenario, i.e. 0 dB
-    assert (pep_general(cfg, 1, event_u1).raw
-            == pytest.approx(pep_general(cfg, 1, event_u1, snr_db=0.0).raw,
-                             rel=1e-12))
 
 
 def test_bound_decreases_with_snr_and_saturates(cfg, event_u1):

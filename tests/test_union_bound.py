@@ -31,7 +31,7 @@ def test_near_user_enumeration_includes_residuals(cfg):
 
 
 def test_single_user_scenario_has_no_interference_terms():
-    cfg = SystemConfig(M=3, L=1, d_R=(2.0,), P=(1.0,), constellation=(BPSK,))
+    cfg = SystemConfig(M=3, d_R=(2.0,), P=(1.0,), constellation=(BPSK,))
     en = enumerate_events(cfg, 1)
     assert en.tau == 2
     assert all(e.X == 0.0 for e in en.events)
