@@ -19,8 +19,7 @@ from .channel import (BerCurve, CascadeBatch, PepEstimate, sample_cascade,
                       simulate_ber, simulate_pep)
 from .asymptotics import (AsymptoticPep, DiversityReport, analytic_diversity,
                           diversity_order, pep_asymptotic)
-from .union_bound import (BoundCurve, EventEnumeration, enumerate_events,
-                          union_bound_curve)
+from .union_bound import BoundCurve, enumerate_events, union_bound_curve
 
 __all__ = [
     "__version__",
@@ -35,5 +34,5 @@ __all__ = [
     "sample_cascade", "simulate_ber", "simulate_pep",
     "AsymptoticPep", "DiversityReport", "analytic_diversity",
     "diversity_order", "pep_asymptotic",
-    "BoundCurve", "EventEnumeration", "enumerate_events", "union_bound_curve",
+    "BoundCurve", "enumerate_events", "union_bound_curve",
 ]

@@ -18,6 +18,9 @@ CHUNK = 1 << 20
 SMALL_CHUNK = 1 << 18
 # rows of the second hop that element_sums draws at a time
 _BLOCK = 1 << 12
+_ORDER = 48                 # graded rule: Gauss-Legendre points per panel,
+_MAX_PANELS = 4096          # ... and its panel cap
+_Z95 = 1.959963984540054    # two-sided 95% normal quantile (Wilson interval)
 
 
 class ConvergenceError(RuntimeError):
@@ -170,24 +173,25 @@ def _legendre_rule(order: int):
     return nodes, weights
 
 
-def gauss_legendre_panels(f, lo: float, hi: float, *, abs_tol: float = 1e-10,
-                          order: int = 48, max_panels: int = 4096) -> float:
+def gauss_legendre_panels(f, lo: float, hi: float, *,
+                          abs_tol: float = 1e-10) -> float:
     """Integrate a vectorized callable on a mesh graded toward ``lo``.
 
     Breakpoints lo and lo + (hi - lo) 2^-k, k = 40..0, cut [lo, hi] into
     41 levels shrinking geometrically toward ``lo``, which resolves
     endpoint singularities and log-periodic oscillation such as Re x^c
     with complex c (Davis & Rabinowitz). Every level carries the same
-    number of Gauss-Legendre panels, doubled until two successive totals
-    differ by less than abs_tol. Raises ConvergenceError when that would
-    take more than max_panels panels. Deterministic by construction.
+    number of _ORDER-point Gauss-Legendre panels, doubled until two
+    successive totals differ by less than abs_tol. Raises
+    ConvergenceError when that would take more than _MAX_PANELS panels.
+    Deterministic by construction.
     """
     if hi <= lo:
         return 0.0
-    nodes, weights = _legendre_rule(order)
+    nodes, weights = _legendre_rule(_ORDER)
     breaks = lo + (hi - lo) * np.r_[0.0, np.exp2(-np.arange(40.0, -1.0, -1.0))]
     per_level, vals = 1, []
-    while per_level * (breaks.size - 1) <= max_panels:
+    while per_level * (breaks.size - 1) <= _MAX_PANELS:
         step = np.diff(breaks) / per_level
         a = breaks[:-1, None] + step[:, None] * np.arange(per_level)
         half = np.repeat(step, per_level)[:, None] / 2
@@ -198,17 +202,17 @@ def gauss_legendre_panels(f, lo: float, hi: float, *, abs_tol: float = 1e-10,
             return vals[-1]
         per_level *= 2
     raise ConvergenceError(
-        f"graded quadrature hit its cap of {max_panels} panels: last two "
+        f"graded quadrature hit its cap of {_MAX_PANELS} panels: last two "
         f"values {vals[-2:]}, abs_tol {abs_tol:g}")
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion. Safe at k=0 and k=n."""
+def wilson_interval(k: int, n: int):
+    """Wilson 95% interval for a binomial proportion; safe at k=0 and k=n."""
     if n <= 0:
         return 0.0, 1.0
     p = k / n
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1 + z2 / n
     center = (p + z2 / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
+    half = _Z95 * np.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)

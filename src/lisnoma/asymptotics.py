@@ -16,19 +16,20 @@ from typing import Sequence
 from scipy import special as sp
 
 from .config import SystemConfig
-from .pep import (ErrorEvent, _chernoff_args, _fit, _resolve_n0, pep_general,
-                  pep_m1)
+from .pep import (ErrorEvent, _chernoff_args, _distance_factor, _fit,
+                  _resolve_n0, pep_general, pep_m1)
 from .specfun import _nonpositive_int
 
 
 @dataclass(frozen=True)
 class AsymptoticPep:
+    """Four-term expansion of the averaged Chernoff bound at one point."""
+
     value: float
     raw: float
     terms: tuple            # complex contribution of each pole family
     exponents: tuple        # the four zeta powers, leading first
-    coincident: bool        # Gamma-pole coincidence among the coefficients
-    fell_back: bool         # True when the contour value was used instead
+    coincident: bool        # Gamma poles coincide: no terms, the contour value
 
     def __float__(self) -> float:
         return self.value
@@ -45,8 +46,8 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     """
     N0 = _resolve_n0(snr_db)
     p = _fit(config.M, config.sigma2)
-    zeta, log_k = _chernoff_args(p, config.distance_factor(user), [event],
-                                 [N0])
+    zeta, log_k = _chernoff_args(p, _distance_factor(config, user, event),
+                                 [event], [N0])
 
     a3, a4, a5 = complex(p.a3), complex(p.a4), complex(p.a5)
     poles = (1 + a4 / 2, (1 + a4) / 2, 1 + a5 / 2, (1 + a5) / 2)
@@ -62,7 +63,7 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
         exact = pep_general(config, user, event, snr_db=snr_db)
         return AsymptoticPep(value=exact.value, raw=exact.raw, terms=(),
                              exponents=tuple(poles[i] for i in order),
-                             coincident=True, fell_back=True)
+                             coincident=True)
 
     lz = math.log(zeta[0])
     terms = []
@@ -84,7 +85,7 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     return AsymptoticPep(value=min(1.0, max(raw, 0.0)), raw=raw,
                          terms=tuple(terms),
                          exponents=tuple(poles[i] for i in order),
-                         coincident=False, fell_back=False)
+                         coincident=False)
 
 
 @dataclass(frozen=True)
@@ -98,19 +99,10 @@ class DiversityReport:
     branch: str             # which shape parameter sets the slope
     probe_note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "user": self.user, "M": self.M, "analytic": self.analytic,
-            "numeric": self.numeric, "rel_err": self.rel_err,
-            "grid_db": list(self.grid_db), "branch": self.branch,
-            "probe_note": self.probe_note,
-        }
-
 
 def analytic_diversity(M: int, sigma2: float) -> float:
     """Slope of the PEP decay: smaller shape exponent over two, plus half."""
-    p = _fit(M, sigma2)
-    return min(p.a4.real, p.a5.real) / 2.0 + 0.5
+    return _fit(M, sigma2).min_lower_real / 2.0 + 0.5
 
 
 def _normalized_probe(config: SystemConfig, user: int) -> SystemConfig:
@@ -123,8 +115,7 @@ def _normalized_probe(config: SystemConfig, user: int) -> SystemConfig:
 
 def _max_vartheta_event(config: SystemConfig, user: int) -> ErrorEvent:
     from .union_bound import enumerate_events
-    events = enumerate_events(config, user).events
-    return max(events, key=lambda e: e.vartheta)
+    return max(enumerate_events(config, user), key=lambda e: e.vartheta)
 
 
 def diversity_order(config: SystemConfig, user: int,

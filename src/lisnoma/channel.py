@@ -21,9 +21,9 @@ import numpy as np
 
 from ._util import (CHUNK, chunk_counts, chunk_rng, element_sums,
                     sample_sums, substreams, wilson_interval)
-from .config import SnrGrid, SystemConfig
+from .config import SystemConfig
 from .moments import analytic_moments
-from .pep import ErrorEvent, _resolve_n0, pep_conditional
+from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +70,11 @@ def _slice_symbols(y: np.ndarray, gain: np.ndarray,
     return const[np.argmin(d, axis=1)]
 
 
-def simulate_ber(config: SystemConfig, snr, frames: int,
+def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
                  seed: int = 0) -> dict:
     """Full transmit -> SIC detect chain; per-user BER with Wilson 95% CI.
+
+    ``snr_db`` is a sequence of mean SNR points in dB.
 
     SIC at user l detects and subtracts users 1..l-1 sequentially before
     deciding its own symbol, so detection errors propagate into the
@@ -80,10 +82,7 @@ def simulate_ber(config: SystemConfig, snr, frames: int,
     """
     if frames < 1:
         raise ValueError("frames must be at least 1")
-    if isinstance(snr, SnrGrid):
-        snr_db = snr.db
-    else:
-        snr_db = tuple(float(v) for v in snr)
+    snr_db = tuple(float(v) for v in snr_db)
     scale = math.sqrt(config.sigma2)
     roots = [math.sqrt(p) for p in config.P]
     L = config.L
@@ -187,10 +186,8 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     Tilting is skipped for flagged events, where the estimand is not
     small, and kappa = 1 is plain sampling.
     """
-    config._check_user(user)
     event = interference
-    if event.user != user:
-        raise ValueError("interference event is for a different user")
+    rd = math.sqrt(_distance_factor(config, user, event))
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
@@ -199,7 +196,6 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     th = event.vartheta
     sigma2 = config.sigma2
     scale = math.sqrt(sigma2)
-    rd = math.sqrt(config.distance_factor(user))
     M = config.M
 
     kappa = 1.0

@@ -343,12 +343,13 @@ def check_diversity(quick: bool = False):
 # ---------------------------------------------------------------------------
 # 7: union bound vs simulation, gap, and feasibility
 
-def _bound_crossing(cfg, user, target, lo=2.0, hi=70.0):
+def _bound_crossing(cfg, user, target):
+    """SNR in dB, between 2 and 70, where the union bound reaches target."""
     # imported here: loading scipy.optimize costs every CLI command ~0.3 s
     from scipy import optimize
     f = lambda s: (math.log10(union_bound_curve(cfg, user, (s,)).raw[0])
                    - math.log10(target))
-    return optimize.brentq(f, lo, hi, xtol=1e-4)
+    return optimize.brentq(f, 2.0, 70.0, xtol=1e-4)
 
 
 def check_union_bound(quick: bool = False):

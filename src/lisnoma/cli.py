@@ -311,7 +311,7 @@ def _cmd_diversity(args, parser) -> int:
     payload = {"M": cfg.M, "user": args.user,
                "analytic": analytic_diversity(cfg.M, cfg.sigma2)}
     if args.numeric:
-        payload["numeric"] = diversity_order(cfg, args.user).to_dict()
+        payload["numeric"] = asdict(diversity_order(cfg, args.user))
     _emit(_json_out(man, payload), args.out)
     return 0
 
@@ -327,10 +327,10 @@ def _cmd_ber(args, parser) -> int:
 
     sim = None
     if args.method in ("mc", "both"):
-        sim = simulate_ber(cfg, grid, frames=args.frames, seed=seed)
+        sim = simulate_ber(cfg, grid.db, frames=args.frames, seed=seed)
 
     for user in range(1, cfg.L + 1):
-        tau = enumerate_events(cfg, user).tau
+        tau = len(enumerate_events(cfg, user))
         print(f"tau: {tau} (user {user})", file=sys.stderr)
         rows = []
         if args.method in ("bound", "both"):
@@ -369,18 +369,17 @@ def _cmd_validate(args, parser) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, with_m=True):
+def _add_common(sp):
     sp.add_argument("--scenario", default=None,
                     help="JSON scenario file (defaults to the built-in one)")
     sp.add_argument("--seed", type=int, default=None,
                     help=f"RNG seed (default: ${SEED_ENV} or 0)")
     sp.add_argument("--out", default="-",
                     help="output path ('-' for stdout)")
-    if with_m:
-        sp.add_argument("--M", type=int, default=None,
-                        help="number of surface elements")
-        sp.add_argument("--sigma2", type=float, default=None,
-                        help="per-element Rayleigh parameter")
+    sp.add_argument("--M", type=int, default=None,
+                    help="number of surface elements")
+    sp.add_argument("--sigma2", type=float, default=None,
+                    help="per-element Rayleigh parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:

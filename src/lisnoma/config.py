@@ -38,9 +38,10 @@ class SystemConfig:
     d_B : float
         Base-to-surface distance.
     d_R : tuple of float
-        Surface-to-user distances, strictly decreasing (far user first).
+        Surface-to-user distances, positive and strictly decreasing (far
+        user first).
     P : tuple of float
-        Power allocation, strictly decreasing, summing to one.
+        Power allocation, positive, strictly decreasing, summing to one.
     constellation : tuple of tuple of float
         Per-user symbol alphabets, each with unit average energy.
     """
@@ -73,6 +74,8 @@ class SystemConfig:
             raise ValueError("sigma2 must be positive")
         if self.alpha <= 0 or self.d_B <= 0:
             raise ValueError("alpha and d_B must be positive")
+        if any(v <= 0 for v in self.d_R + self.P):
+            raise ValueError("distances and power shares must be positive")
         # far user first
         if any(a <= b for a, b in zip(self.d_R, self.d_R[1:])):
             raise ValueError("d_R must be strictly decreasing")
@@ -157,5 +160,3 @@ class SnrGrid:
     def __len__(self):
         return len(self.db)
 
-
-DEFAULT_GRID = SnrGrid.from_range_db(0.0, 40.0, 2.0)

@@ -37,9 +37,9 @@ class Moments:
 def analytic_moments(M: int, sigma2: float) -> Moments:
     """Closed-form raw moments of S for M elements.
 
-    The general M expressions are canonical; the hand-expanded small-M
-    forms are kept as a consistency check and must agree to machine
-    precision.
+    The general-M expressions are the only ones evaluated. The
+    hand-expanded small-M listings (``_mu3_listed``, ``_mu4_listed``) are
+    compared with them by check 2 and the tests, not on every call.
     """
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
@@ -56,10 +56,6 @@ def analytic_moments(M: int, sigma2: float) -> Moments:
            + 9.0 * M * (M - 1) * _PI ** 2
            + 6.0 * M * (M - 1) * (M - 2) * _PI ** 2
            + M * (M - 1) * (M - 2) * (M - 3) * _PI ** 4 / 16.0) * v ** 4
-
-    for got, want in ((mu3, _mu3_listed(M, v)), (mu4, _mu4_listed(M, v))):
-        if want is not None and not math.isclose(got, want, rel_tol=1e-14):
-            raise AssertionError("general branch disagrees with small-M listing")
 
     return Moments(mu1, mu2, mu3, mu4)
 

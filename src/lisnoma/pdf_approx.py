@@ -66,7 +66,7 @@ class GParams:
         return min(complex(self.a4).real, complex(self.a5).real)
 
 
-def fit_gparams(M: int, sigma2: float = 0.5) -> GParams:
+def fit_gparams(M: int, sigma2: float) -> GParams:
     """Closed-form solution of the four moment-ratio equations."""
     mu1, mu2, mu3, mu4 = analytic_moments(M, sigma2).as_tuple()
     if min(mu1, mu2, mu3, mu4) <= 0:
@@ -198,7 +198,7 @@ class CltParams:
     sigma_bar2: float
 
 
-def clt_params(M: int, sigma2: float = 0.5) -> CltParams:
+def clt_params(M: int, sigma2: float) -> CltParams:
     mom = analytic_moments(M, sigma2)
     return CltParams(M=int(M), sigma2=float(sigma2),
                      mu_bar=mom.mu1, sigma_bar2=mom.variance)
@@ -209,6 +209,8 @@ def pdf_clt(x, params: CltParams, D: float = 1.0):
     if D <= 0:
         raise ValueError("distance factor must be positive")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x_arr < 0):
+        raise ValueError("the density is supported on x >= 0")
     rd = math.sqrt(D)
     sd = math.sqrt(params.sigma_bar2)
     t = (x_arr * rd - params.mu_bar) / sd

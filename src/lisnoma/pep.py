@@ -144,6 +144,14 @@ def _resolve_n0(snr_db: float) -> float:
     return 10.0 ** (-float(snr_db) / 10.0)
 
 
+def _distance_factor(config: SystemConfig, user: int, *events) -> float:
+    """The user's distance factor; raises if an event is another user's."""
+    D = config.distance_factor(user)
+    if any(ev.user != user for ev in events):
+        raise ValueError("error event is for a different user")
+    return D
+
+
 def _finish(raw_log: float, method: str, event: ErrorEvent) -> PepValue:
     raw = math.exp(raw_log) if raw_log < 700 else math.inf
     return PepValue(value=min(1.0, raw), raw=raw, log_raw=raw_log,
@@ -174,7 +182,8 @@ def _log_pep_general(config: SystemConfig, user: int,
     All pairs go to the averaged kernel in one call.
     """
     p = _fit(config.M, config.sigma2)
-    zeta, log_k = _chernoff_args(p, config.distance_factor(user), events, N0)
+    zeta, log_k = _chernoff_args(p, _distance_factor(config, user, *events),
+                                 events, N0)
     log_g, sign, _ = meijer_g_1443_log(zeta, p.a3, p.a4, p.a5)
     if np.any(sign <= 0):
         raise ValueError("kernel evaluation lost positivity")
@@ -198,7 +207,7 @@ def pep_m1(config: SystemConfig, user: int, event: ErrorEvent,
         raise ValueError("vartheta must be nonzero")
     N0 = _resolve_n0(snr_db)
     lam2 = 2.0 * N0 * event.delta_bar ** 2
-    D = config.distance_factor(user)
+    D = _distance_factor(config, user, event)
     eta = lam2 * D / (2.0 * config.sigma2 ** 2 * event.vartheta ** 2)
     return _finish(math.log(_eta_exp_e1(eta)), "m1", event)
 
@@ -236,7 +245,7 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
         raise ValueError("vartheta must be nonzero")
     N0 = _resolve_n0(snr_db)
     lam2 = 2.0 * N0 * event.delta_bar ** 2
-    D = config.distance_factor(user)
+    D = _distance_factor(config, user, event)
     cp = clt_params(config.M, config.sigma2)
     mu, var = cp.mu_bar, cp.sigma_bar2
     th2 = event.vartheta ** 2
@@ -279,7 +288,7 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     if kernel not in ("chernoff", "exact"):
         raise ValueError("kernel must be 'chernoff' or 'exact'")
     N0 = _resolve_n0(snr_db)
-    D = config.distance_factor(user)
+    D = _distance_factor(config, user, event)
 
     # partial looks each density up here, so a replaced module attribute
     # (a tracing wrapper, say) is the one that runs

@@ -50,6 +50,8 @@ _BLOCK = 1 << 18           # entries per (arguments x nodes) row block
 _SADDLE_CELLS = 16         # saddle search: grid cells per round,
 _SADDLE_ROUNDS = 4         # ... and rounds, to 1.2e-4 of the bracket
 _MAX_LINES = 64            # contour lines kept in the memo
+_SERIES_RTOL = 1e-12       # residue series: relative size of its last term,
+_SERIES_TERMS = 512        # ... and its term budget per family
 
 # (offsets, band) -> _Line, least recently used first
 _LINES = collections.OrderedDict()
@@ -90,21 +92,22 @@ class MellinBarnesSpec:
             raise ValueError("node count must be at least 64")
 
 
-def _strip(plus, minus):
-    lo = -min(np.real(b) for b in plus) if plus else -np.inf
-    hi = min(np.real(a) for a in minus) if minus else np.inf
-    return lo, hi
-
-
 class _GammaRatio:
     """The gamma-factor ratio F(s) of a Mellin-Barnes integrand.
 
     Factor k is Gamma(offset_k + direction_k s), in the numerator when
     its sign is +1 and the denominator when -1. All factors are
-    evaluated in one ufunc call per point set.
+    evaluated in one ufunc call per point set. ``key``, the four offset
+    tuples as complex numbers, names the ratio in the line memo; every
+    line runs inside the pole-free strip ``lo`` < Re s < ``hi``.
     """
 
     def __init__(self, plus, minus, den_plus, den_minus):
+        self.key = tuple(tuple(complex(v) for v in group)
+                         for group in (plus, minus, den_plus, den_minus))
+        plus, minus, den_plus, den_minus = self.key
+        self.lo = -min(b.real for b in plus) if plus else -math.inf
+        self.hi = min(a.real for a in minus) if minus else math.inf
         groups = ((plus, 1, 1), (minus, -1, 1), (den_plus, 1, -1),
                   (den_minus, -1, -1))
         table = np.array([(v, d, e) for g, d, e in groups for v in g],
@@ -132,7 +135,7 @@ def _pole_margin(width):
     return min(0.35, 0.25 * width)
 
 
-def _saddles(lnz, ratio, lo, hi):
+def _saddles(lnz, ratio):
     """Anchor each band's line where the integrand modulus is minimal.
 
     On the real axis the log-modulus log F(c) - c ln z blows up at both
@@ -143,6 +146,7 @@ def _saddles(lnz, ratio, lo, hi):
     margin is kept at the strip edges; without it the line can park next
     to a pole and leave a spike the trapezoid cannot resolve.
     """
+    lo, hi = ratio.lo, ratio.hi
     if math.isfinite(hi):
         margin = _pole_margin(hi - lo)
         left = np.full_like(lnz, lo + margin)
@@ -215,20 +219,20 @@ class _Line:
     levels: list
 
 
-def _new_lines(c, ratio, lo, hi):
+def _new_lines(c, ratio):
     """Lines at the abscissas ``c``, with no doubling level built yet."""
     T, g0 = _half_lengths(c, ratio)
     # a pole at distance d from the line leaves a bump of width ~d along
     # it; start with enough nodes that the bump is sampled, or the
     # doubling loop can plateau on a wrong value
-    prox = np.minimum(c - lo, hi - c)
+    prox = np.minimum(c - ratio.lo, ratio.hi - c)
     first = np.maximum(_FIRST_NODES, np.minimum(
         4097, (3.0 * T / np.maximum(prox, 1e-6)).astype(int) | 1))
     return [_Line(float(c[k]), float(T[k]), float(g0[k]), int(first[k]), [])
             for k in range(c.size)]
 
 
-def _memo_lines(parts, band, ratio, lo, hi):
+def _memo_lines(band, ratio):
     """The lines of ``band``, from the memo where present.
 
     Missing lines are built together, each anchored near its band's
@@ -236,12 +240,12 @@ def _memo_lines(parts, band, ratio, lo, hi):
     least recently used when the memo is full, so the memo never holds
     more than _MAX_LINES lines, even while a call spans more bands.
     """
-    keys = [(parts, float(b)) for b in band]
+    keys = [(ratio.key, float(b)) for b in band]
     lines = [_LINES.get(key) for key in keys]
     missing = [k for k, line in enumerate(lines) if line is None]
     if missing:
-        c = _saddles((band[missing] + 0.5) * _BAND_LOG, ratio, lo, hi)
-        for k, line in zip(missing, _new_lines(c, ratio, lo, hi)):
+        c = _saddles((band[missing] + 0.5) * _BAND_LOG, ratio)
+        for k, line in zip(missing, _new_lines(c, ratio)):
             lines[k] = line
     for key, line in zip(keys, lines):
         _LINES.pop(key, None)
@@ -312,21 +316,18 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
     z = np.asarray(z, dtype=float)
     if np.any(~(z > 0)):
         raise ValueError("argument must be positive")
-    parts = tuple(tuple(complex(v) for v in group)
-                  for group in (plus, minus, den_plus, den_minus))
-    ratio = _GammaRatio(*parts)
-    lo, hi = _strip(parts[0], parts[1])
+    ratio = _GammaRatio(plus, minus, den_plus, den_minus)
 
     lnz = np.log(z)
     band, where = np.unique(np.floor(lnz / _BAND_LOG), return_inverse=True)
     with _LINES_LOCK:     # memo lines grow in place: one call at a time
         if abscissa is None:
-            lines = _memo_lines(parts, band, ratio, lo, hi)
+            lines = _memo_lines(band, ratio)
         else:
             c = float(abscissa)
-            if not (lo < c < (hi if math.isfinite(hi) else c + 1)):
+            if not ratio.lo < c < ratio.hi:
                 raise ValueError("abscissa outside the legal strip")
-            lines = _new_lines(np.full(band.size, c), ratio, lo, hi)
+            lines = _new_lines(np.full(band.size, c), ratio)
 
         log_abs = np.empty_like(z)
         sign = np.empty_like(z)
@@ -340,8 +341,8 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
                 log_abs[rows] = (line.g0 - line.c * lnz[rows]
                                  + np.log(np.abs(sums)) - _LN2PI)
             specs.append(MellinBarnesSpec(
-                *parts, band=(math.exp(band[k] * _BAND_LOG),
-                              math.exp((band[k] + 1) * _BAND_LOG)),
+                *ratio.key, band=(math.exp(band[k] * _BAND_LOG),
+                                  math.exp((band[k] + 1) * _BAND_LOG)),
                 abscissa=line.c, half_length=line.T, nodes=nodes))
     return log_abs, sign, tuple(specs)
 
@@ -358,7 +359,7 @@ def _nonpositive_int(x, tol: float) -> bool:
     return r <= 0 and abs(xr.real - r) <= tol
 
 
-def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
+def _series_2012(z, a3, a4, a5):
     """Left-pole residue series, one confluent family per lower parameter.
 
     Written in the exponentially damped form, so the terms inside each
@@ -380,7 +381,7 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
         term = np.ones_like(z, dtype=complex)
         acc = np.ones_like(z, dtype=complex)
         accmag = np.ones_like(z)
-        for k in range(max_terms):
+        for k in range(_SERIES_TERMS):
             # in place, one factor at a time, in the left-to-right order
             # of term * (alpha + k) * z / ((beta + k) * (k + 1))
             term *= alpha + k
@@ -389,7 +390,7 @@ def _series_2012(z, a3, a4, a5, rtol=1e-12, max_terms=512):
             acc += term
             size = np.abs(term)
             accmag += size
-            if k > 3 and (size <= rtol * np.abs(acc)).all():
+            if k > 3 and (size <= _SERIES_RTOL * np.abs(acc)).all():
                 break
         else:
             raise ConvergenceError("residue series exhausted its term budget")
@@ -415,6 +416,10 @@ def meijer_g_2012(x, a3, a4, a5):
     (where the series is invalid); a point whose series error estimate
     exceeds 1e-11, and every other positive point, takes the contour at
     a relative tolerance of 1e-10.
+
+    A series value depends on its batch: the series stops only once the
+    batch's slowest point has converged (up to 4e-9 relative against one
+    point per call at M = 3), so ``pep._tabulated`` evaluates whole meshes.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0):

@@ -19,24 +19,13 @@ from .pep import (_finish, _log_pep_general, _resolve_n0, build_event,
                   pep_general, pep_m1)
 
 
-@dataclass(frozen=True)
-class EventEnumeration:
-    user: int
-    events: tuple           # ErrorEvent per combination
-
-    @property
-    def tau(self) -> int:
-        """Total combination count."""
-        return len(self.events)
-
-
-def enumerate_events(config: SystemConfig, user: int) -> EventEnumeration:
-    """All pairwise error events for one user.
+def enumerate_events(config: SystemConfig, user: int) -> tuple:
+    """All pairwise error events for one user, as a tuple of ErrorEvent.
 
     Every transmitted tuple, every wrong hypothesis for the user's own
     symbol, and every decision tuple of the users detected before it:
     the perfect-cancellation events are those whose ``sic_errors`` are
-    all zero.
+    all zero. The tuple's length is the combination count tau.
     """
     config._check_user(user)
     own = config.constellation[user - 1]
@@ -51,7 +40,7 @@ def enumerate_events(config: SystemConfig, user: int) -> EventEnumeration:
             for det in itertools.product(*config.constellation[:user - 1]):
                 deltas = tuple(xi - di for xi, di in zip(x, det))
                 events.append(build_event(config, user, x, xbar, deltas))
-    return EventEnumeration(user=user, events=tuple(events))
+    return tuple(events)
 
 
 def _event_raws(config: SystemConfig, user: int, events: tuple,
@@ -89,15 +78,14 @@ def union_bound_curve(config: SystemConfig, user: int,
     same whatever other points the curve holds. At M > 1 every event at
     every point goes to the averaged kernel in one call.
     """
-    enumeration = enumerate_events(config, user)
+    events = enumerate_events(config, user)
     raw = []
-    for row in _event_raws(config, user, enumeration.events, snr_db):
+    for row in _event_raws(config, user, events, snr_db):
         total = 0.0
         for v in row:   # in event order, so each bound is reproducible
             total += v
-        raw.append(total / enumeration.tau)
+        raw.append(total / len(events))
     return BoundCurve(user=user, snr_db=tuple(float(s) for s in snr_db),
                       value=tuple(min(1.0, r) for r in raw), raw=tuple(raw),
-                      tau=enumeration.tau,
-                      flagged_events=sum(1 for ev in enumeration.events
-                                         if ev.flagged))
+                      tau=len(events),
+                      flagged_events=sum(1 for ev in events if ev.flagged))

@@ -45,8 +45,8 @@ def test_wilson_interval_reference_values():
 
 def test_link_simulation_shape_and_determinism(cfg):
     grid = SnrGrid.parse("0:10:5")
-    sim = simulate_ber(cfg, grid, frames=20_000, seed=3)
-    again = simulate_ber(cfg, grid, frames=20_000, seed=3)
+    sim = simulate_ber(cfg, grid.db, frames=20_000, seed=3)
+    again = simulate_ber(cfg, grid.db, frames=20_000, seed=3)
     assert set(sim) == {1, 2}
     for user in (1, 2):
         c = sim[user]
@@ -61,17 +61,17 @@ def test_link_simulation_shape_and_determinism(cfg):
 
 def test_error_rate_falls_with_snr_and_with_elements():
     grid = SnrGrid.parse("0:20:10")
-    small = simulate_ber(default_config(M=2), grid, frames=120_000, seed=9)
+    small = simulate_ber(default_config(M=2), grid.db, frames=120_000, seed=9)
     for user in (1, 2):
         bers = small[user].ber
         assert bers[0] > bers[1] > bers[2]
-    big = simulate_ber(default_config(M=6), grid, frames=120_000, seed=9)
+    big = simulate_ber(default_config(M=6), grid.db, frames=120_000, seed=9)
     assert big[1].ber[1] < small[1].ber[1]
     assert big[2].ber[1] < small[2].ber[1]
 
 
 def test_error_rate_approaches_coin_flip_at_very_low_snr(cfg):
-    sim = simulate_ber(cfg, SnrGrid((-25.0,)), frames=40_000, seed=2)
+    sim = simulate_ber(cfg, SnrGrid((-25.0,)).db, frames=40_000, seed=2)
     assert sim[1].ber[0] > 0.3
     assert sim[2].ber[0] > 0.3
 

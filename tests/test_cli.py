@@ -301,6 +301,25 @@ def test_non_finite_scenario_values_are_argument_errors(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("p1", ["1.5", "1.0"])
+def test_power_split_without_a_positive_share_is_an_argument_error(capsys,
+                                                                   p1):
+    code, out, err = run(capsys, "ber", "--method", "bound", "--snr",
+                         "0:10:5", "--p1", p1)
+    assert code == 2 and out == ""
+    assert "positive" in err
+
+
+def test_scenario_with_a_negative_distance_is_an_argument_error(tmp_path,
+                                                                capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"M": 3, "d_R": [5.0, -2.0]}))
+    code, out, err = run(capsys, "pep", "--scenario", str(path), "--user",
+                         "2", "--method", "general", "--snr", "0:10:5")
+    assert code == 2 and out == ""
+    assert "positive" in err
+
+
 def test_validate_honest_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", "--only", "2")
     assert code == 0

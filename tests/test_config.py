@@ -4,7 +4,7 @@ import math
 import pytest
 
 from lisnoma import SnrGrid, SystemConfig, default_config, load_scenario
-from lisnoma.config import BPSK, DEFAULT_GRID
+from lisnoma.config import BPSK
 
 
 def test_default_scenario_values():
@@ -52,6 +52,9 @@ def test_overrides_and_replace():
     dict(P=(math.nan, 0.2)),
     dict(constellation=((-1.0, math.nan), BPSK)),
     dict(M=math.inf),
+    dict(P=(1.5, -0.5)),        # every power share positive
+    dict(P=(1.0, 0.0)),
+    dict(d_R=(5.0, -2.0)),      # every distance positive
 ])
 def test_invalid_configurations_rejected(kw):
     with pytest.raises(ValueError):
@@ -112,7 +115,7 @@ def test_snr_grid_rejects_bad_input():
 
 
 def test_default_grid_spans_the_plotting_range():
-    assert DEFAULT_GRID.db[0] == pytest.approx(0.0, abs=1e-12)
-    assert DEFAULT_GRID.db[-1] == pytest.approx(40.0, abs=1e-9)
-    assert math.isclose(DEFAULT_GRID.db[1] - DEFAULT_GRID.db[0], 2.0,
-                        abs_tol=1e-9)
+    grid = SnrGrid.from_range_db(0.0, 40.0, 2.0)
+    assert grid.db[0] == pytest.approx(0.0, abs=1e-12)
+    assert grid.db[-1] == pytest.approx(40.0, abs=1e-9)
+    assert math.isclose(grid.db[1] - grid.db[0], 2.0, abs_tol=1e-9)

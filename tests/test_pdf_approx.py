@@ -164,6 +164,17 @@ def test_ks_statistic_behaves():
     assert ks_statistic(shifted, xs, cdf) > 0.3
 
 
+def test_densities_reject_negative_gains():
+    x = np.array([0.5, -1.0])
+    with pytest.raises(ValueError, match="x >= 0"):
+        pdf_g(x, fit_gparams(3, 0.5))
+    with pytest.raises(ValueError, match="x >= 0"):
+        pdf_double_rayleigh(x, 0.5)
+    with pytest.raises(ValueError, match="x >= 0"):
+        pdf_clt(-1.0, clt_params(3, 0.5))
+    assert pdf_clt(0.0, clt_params(3, 0.5)) > 0.0
+
+
 def test_fit_validation():
     assert issubclass(FittingError, Exception)
     with pytest.raises(ValueError):

@@ -5,13 +5,15 @@ import math
 import random
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import exp1
 
-from lisnoma import (build_event, default_config, pep, pep_clt,
-                     pep_conditional, pep_general, pep_m1, pep_quadrature)
+from lisnoma import (build_event, default_config, pep, pep_asymptotic,
+                     pep_clt, pep_conditional, pep_general, pep_m1,
+                     pep_quadrature, simulate_pep)
 from lisnoma.pep import _eta_exp_e1
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
@@ -190,6 +192,26 @@ def test_method_restrictions(cfg, event_u1):
         pep_m1(cfg, 1, event_u1, snr_db=10.0)   # needs M = 1
     with pytest.raises(ValueError):
         pep_quadrature(cfg, 1, event_u1, snr_db=10.0, pdf_model="dr")
+
+
+# every form that takes a user and its event, with the element count of
+# the scenario it is called on
+_FORMS = {
+    "general": (3, pep_general), "m1": (1, pep_m1), "clt": (3, pep_clt),
+    "quadrature": (3, pep_quadrature), "asymptotic": (3, pep_asymptotic),
+    "simulate": (3, partial(simulate_pep, trials=1000)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_every_form_rejects_an_event_of_another_user(form):
+    # the distance factor comes from the user argument, so a user-1 event
+    # at user 2 would be averaged with user 2's path loss
+    M, f = _FORMS[form]
+    cfg = default_config(M=M)
+    event = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    with pytest.raises(ValueError, match="different user"):
+        f(cfg, 2, event, snr_db=20.0)
 
 
 # ---------------------------------------------------------------------------

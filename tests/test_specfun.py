@@ -144,7 +144,9 @@ def test_banded_contour_matches_mpmath(M):
 
 
 def test_value_does_not_depend_on_the_batch():
-    # a value depends on its argument alone, not on what shares its call
+    # on the contour path (z > 10 here, and the Chernoff kernel
+    # everywhere) a value depends on its argument alone, not on what
+    # shares its call; series-path values depend on their batch
     a3, a4, a5 = M3_PARAMS
     zs = np.linspace(10.5, 120.0, 500)
     batch = meijer_g_2012(zs, a3, a4, a5)
