@@ -27,6 +27,7 @@ from .moments import analytic_moments
 from .specfun import meijer_g_2012
 
 _NEG_TOL = 1e-12
+_KS_BLOCK = 1 << 16     # samples per block of ks_distance
 
 
 class FittingError(RuntimeError):
@@ -246,8 +247,16 @@ def ks_statistic(sample: np.ndarray, xs: np.ndarray, cdf: np.ndarray) -> float:
 
 
 def ks_distance(F: np.ndarray) -> float:
-    """Two-sided KS distance from CDF values at the sorted sample."""
+    """Two-sided KS distance from CDF values at the sorted sample.
+
+    The empirical steps k/n and (k+1)/n are built one block of
+    _KS_BLOCK samples at a time, so no temporary grows with the sample.
+    """
     n = len(F)
-    up = np.arange(1, n + 1) / n
-    dn = np.arange(0, n) / n
-    return float(max(np.max(np.abs(F - up)), np.max(np.abs(F - dn))))
+    worst = []
+    for a in range(0, n, _KS_BLOCK):
+        k = np.arange(a, min(a + _KS_BLOCK, n))
+        block = F[a:a + _KS_BLOCK]
+        worst += [np.max(np.abs(block - (k + 1) / n)),
+                  np.max(np.abs(block - k / n))]
+    return float(np.max(worst))

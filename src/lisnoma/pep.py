@@ -141,7 +141,10 @@ class PepValue:
 
 def _resolve_n0(snr_db: float) -> float:
     """Noise spectral density N0 at a mean SNR of ``snr_db`` dB."""
-    return 10.0 ** (-float(snr_db) / 10.0)
+    snr_db = float(snr_db)
+    if not math.isfinite(snr_db):
+        raise ValueError("snr_db must be finite")
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def _distance_factor(config: SystemConfig, user: int, *events) -> float:

@@ -19,15 +19,18 @@ Anchoring near the saddle keeps float64 cancellation bounded for small
 and large arguments alike. All gamma factors are handled in log space
 with sign tracking.
 
-A band's line (abscissa, half-length, and the gamma factors of each
-node-doubling level reached so far) depends only on the gamma offsets
-and the band index, so it is kept in an in-process memo keyed on
+A band's line (abscissa, half-length, and the nodes and gamma factors
+of each node-doubling level reached so far) depends only on the gamma
+offsets and the band index, so it is kept in an in-process memo keyed on
 (offsets, band index) and reused by later calls. The memo holds at most
 _MAX_LINES lines and drops the least recently used. A line is built by
 the same elementwise operations whichever call builds it, and a call
 replays its doubling levels in the same order either way, so a value
 depends only on its argument, the parameters and the tolerance: never
-on which arguments share the call, nor on which calls came before.
+on which arguments share the call, nor on which calls came before. The
+gamma ratio of each offset set is built once and kept too, at most
+_MAX_RATIOS of them, least recently used dropped; it holds only the
+offsets, so it cannot change a value.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import collections
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 from scipy import special as sp
 
@@ -49,7 +54,13 @@ _BAND_LOG = math.log(1.25)  # width of one argument band in ln z
 _BLOCK = 1 << 18           # entries per (arguments x nodes) row block
 _SADDLE_CELLS = 16         # saddle search: grid cells per round,
 _SADDLE_ROUNDS = 4         # ... and rounds, to 1.2e-4 of the bracket
+_CELLS = np.arange(_SADDLE_CELLS + 1)
+# the next round's bracket runs from the cell left of the lowest sample
+# to the cell right of it
+_NEXT_LEFT = np.maximum(_CELLS - 1, 0)
+_NEXT_RIGHT = np.minimum(_CELLS + 1, _SADDLE_CELLS)
 _MAX_LINES = 64            # contour lines kept in the memo
+_MAX_RATIOS = 64           # gamma ratios kept, one per offset set
 _SERIES_RTOL = 1e-12       # residue series: relative size of its last term,
 _SERIES_TERMS = 512        # ... and its term budget per family
 
@@ -99,7 +110,8 @@ class _GammaRatio:
     its sign is +1 and the denominator when -1. All factors are
     evaluated in one ufunc call per point set. ``key``, the four offset
     tuples as complex numbers, names the ratio in the line memo; every
-    line runs inside the pole-free strip ``lo`` < Re s < ``hi``.
+    line runs inside the pole-free strip ``lo`` < Re s < ``hi``. Build
+    one through ``_ratio``, which keeps it for later calls.
     """
 
     def __init__(self, plus, minus, den_plus, den_minus):
@@ -112,21 +124,30 @@ class _GammaRatio:
                   (den_minus, -1, -1))
         table = np.array([(v, d, e) for g, d, e in groups for v in g],
                          dtype=complex)
-        self.offset = table[:, 0]
-        self.direction, self.sign = table[:, 1].real, table[:, 2].real
+        offset = table[:, 0]
+        direction, sign = table[:, 1].real, table[:, 2].real
         # |Gamma(x + i t)| falls like exp(-pi |t| / 2)
-        self.decay = math.pi / 2 * self.sign.sum()
+        self.decay = math.pi / 2 * sign.sum()
+        # (offset, direction, sign) as columns that broadcast against
+        # points of one and of two dimensions
+        self._columns = {ndim: tuple(a.reshape((-1,) + (1,) * ndim)
+                                     for a in (offset, direction, sign))
+                         for ndim in (1, 2)}
 
     def log(self, s):
-        """log F(s), elementwise over an array of points s."""
-        lift = (-1,) + (1,) * np.ndim(s)
-        terms = self.sign.reshape(lift) * sp.loggamma(
-            self.offset.reshape(lift) + self.direction.reshape(lift) * s)
+        """log F(s), elementwise over a 1-D or 2-D array of points s."""
+        offset, direction, sign = self._columns[s.ndim]
+        terms = sign * sp.loggamma(offset + direction * s)
         # row by row, so every point's sum is formed in the same order
         out = terms[0]
         for row in terms[1:]:
             out = out + row
         return out
+
+
+@lru_cache(maxsize=_MAX_RATIOS)
+def _ratio(plus, minus, den_plus, den_minus):
+    return _GammaRatio(plus, minus, den_plus, den_minus)
 
 
 def _pole_margin(width):
@@ -147,6 +168,7 @@ def _saddles(lnz, ratio):
     to a pole and leave a spike the trapezoid cannot resolve.
     """
     lo, hi = ratio.lo, ratio.hi
+    lnz = lnz[:, None]      # one row per band, one column per grid cell
     if math.isfinite(hi):
         margin = _pole_margin(hi - lo)
         left = np.full_like(lnz, lo + margin)
@@ -155,15 +177,13 @@ def _saddles(lnz, ratio):
         # growth is eventually monotone; the saddle sits near the argument
         left = np.full_like(lnz, lo + _pole_margin(10.0))
         right = lo + np.maximum(10.0, 1.5 * np.exp(lnz) + 25.0)
-    cells = np.arange(_SADDLE_CELLS + 1)
     for _ in range(_SADDLE_ROUNDS):
         step = (right - left) / _SADDLE_CELLS
-        grid = left[:, None] + step[:, None] * cells
-        height = ratio.log(grid).real - grid * lnz[:, None]
-        best = np.argmin(height, axis=1)
-        right = left + step * np.minimum(best + 1, _SADDLE_CELLS)
-        left = left + step * np.maximum(best - 1, 0)
-    return grid[np.arange(lnz.size), best]
+        grid = left + step * _CELLS
+        best = (ratio.log(grid).real - grid * lnz).argmin(axis=1)
+        right = left + step * _NEXT_RIGHT[best, None]
+        left = left + step * _NEXT_LEFT[best, None]
+    return grid[np.arange(grid.shape[0]), best]
 
 
 def _half_lengths(c, ratio):
@@ -195,11 +215,9 @@ def _row_sums(lnz, t, amp, phase):
     its own, so its value does not depend on the other rows.
     """
     rows = max(1, _BLOCK // t.size)
-    out = np.empty(lnz.size)
-    for i in range(0, lnz.size, rows):
-        block = lnz[i:i + rows]
-        out[i:i + rows] = (np.cos(phase - block[:, None] * t) * amp).sum(axis=1)
-    return out
+    sums = [(np.cos(phase - lnz[i:i + rows, None] * t) * amp).sum(axis=1)
+            for i in range(0, lnz.size, rows)]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 @dataclass
@@ -207,9 +225,10 @@ class _Line:
     """One band's contour line: Re s = ``c`` truncated at ``T``.
 
     ``g0`` is log F(c) and ``first`` the first node count. ``levels``
-    holds, for each doubling level reached so far, the node amplitudes
-    (trapezoid weight times exp Re(log F - g0)) and phases Im(log F - g0);
-    the nodes themselves are cheap to rebuild and are not stored.
+    holds, for each doubling level reached so far, the nodes t >= 0 that
+    the level adds, their amplitudes (trapezoid weight times
+    exp Re(log F - g0)) and their phases Im(log F - g0), so a call that
+    replays a stored level builds no array for it.
     """
 
     c: float
@@ -266,37 +285,49 @@ def _band_sums(lnz, line, ratio, rtol):
     missing from ``line`` is built and kept there. Returns the sums and
     the final node count.
     """
-    def level(i, t, weight):
+    def level(i, n, h):
+        # level 0 is the n-node grid on [0, T]; level i > 0 adds the
+        # midpoints of the n-node grid of spacing h. Every call doubles at
+        # least once, so a new line builds levels 0 and 1 in one go.
         if i == len(line.levels):
+            t = h * (np.arange(n - 1) + 0.5)
+            weight = 1.0
+            if i == 0:
+                t = np.concatenate([np.linspace(0.0, line.T, n), t])
+                weight = np.ones(t.size)
+                weight[0] = weight[n - 1] = 0.5
             log_f = ratio.log(line.c + 1j * t) - line.g0
-            line.levels.append((weight * np.exp(log_f.real), log_f.imag))
+            amp, phase = weight * np.exp(log_f.real), log_f.imag
+            cut = t.size - (n - 1)      # where the midpoints start
+            if i == 0:
+                line.levels.append((t[:cut], amp[:cut], phase[:cut]))
+            line.levels.append((t[cut:], amp[cut:], phase[cut:]))
         return line.levels[i]
 
     n = line.first
-    t = np.linspace(0.0, line.T, n)
-    weight = np.ones(n)
-    weight[0] = weight[-1] = 0.5
-    acc = _row_sums(lnz, t, *level(0, t, weight))
     h = line.T / (n - 1)
+    acc = _row_sums(lnz, *level(0, n, h))
     prev = 2.0 * h * acc
     out = np.empty_like(prev)
+    # positions in ``out`` of the arguments still doubling; lnz, acc and
+    # prev hold those arguments only
     active = np.arange(lnz.size)
     i = 0
     while n < _MAX_NODES:
         i += 1
-        mid = h * (np.arange(n - 1) + 0.5)
+        nodes = level(i, n, h)
         n = 2 * n - 1
         h = 0.5 * h
-        acc[active] += _row_sums(lnz[active], mid, *level(i, mid, 1.0))
-        cur = 2.0 * h * acc[active]
-        scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev[active])),
-                           1e-300)
-        done = np.abs(cur - prev[active]) <= rtol * scale
-        out[active[done]] = cur[done]
-        prev[active] = cur
-        active = active[~done]
-        if active.size == 0:
+        acc = acc + _row_sums(lnz, *nodes)
+        cur = 2.0 * h * acc
+        scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), 1e-300)
+        done = np.abs(cur - prev) <= rtol * scale
+        if done.all():
+            out[active] = cur
             break
+        out[active[done]] = cur[done]
+        keep = ~done
+        active, lnz, acc, prev = active[keep], lnz[keep], acc[keep], cur[keep]
     else:
         raise ConvergenceError("node doubling hit its cap before converging")
     return out, n
@@ -306,20 +337,25 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
                  abscissa=None, rtol=1e-10):
     """Contour integral (1/2*pi*i) int F(s) z^{-s} ds in log form.
 
-    ``z`` is a 1-D array of positive arguments. Returns (log_abs, sign,
-    specs): two arrays shaped like ``z`` and one MellinBarnesSpec per
-    argument band, in increasing order of the band. ``abscissa`` puts
+    ``z`` is a 1-D array of positive finite arguments. Returns (log_abs,
+    sign, specs): two arrays shaped like ``z`` and one MellinBarnesSpec
+    per argument band, in increasing order of the band. ``abscissa`` puts
     every band's line at one fixed Re s inside the strip in place of its
     saddle, and such lines bypass the memo; ``rtol`` is the node-doubling
-    tolerance.
+    tolerance. The four offset groups are tuples, as they key the memos.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(~(z > 0)):
-        raise ValueError("argument must be positive")
-    ratio = _GammaRatio(plus, minus, den_plus, den_minus)
+    if not ((z > 0) & (z < math.inf)).all():
+        raise ValueError("argument must be positive and finite")
+    ratio = _ratio(plus, minus, den_plus, den_minus)
 
     lnz = np.log(z)
-    band, where = np.unique(np.floor(lnz / _BAND_LOG), return_inverse=True)
+    cell = np.floor(lnz / _BAND_LOG)
+    if cell.size and (cell == cell[0]).all():
+        band, rows = cell[:1], [slice(None)]
+    else:
+        band, where = np.unique(cell, return_inverse=True)
+        rows = [np.flatnonzero(where == k) for k in range(band.size)]
     with _LINES_LOCK:     # memo lines grow in place: one call at a time
         if abscissa is None:
             lines = _memo_lines(band, ratio)
@@ -332,18 +368,17 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
         log_abs = np.empty_like(z)
         sign = np.empty_like(z)
         specs = []
-        for k, line in enumerate(lines):
-            rows = np.flatnonzero(where == k)
-            sums, nodes = _band_sums(lnz[rows], line, ratio, rtol)
-            sign[rows] = np.sign(sums)
-            with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):
+            for k, line in enumerate(lines):
+                sums, nodes = _band_sums(lnz[rows[k]], line, ratio, rtol)
+                sign[rows[k]] = np.sign(sums)
                 # raw line integral of F over [-T, T] carries the 1/(2 pi)
-                log_abs[rows] = (line.g0 - line.c * lnz[rows]
-                                 + np.log(np.abs(sums)) - _LN2PI)
-            specs.append(MellinBarnesSpec(
-                *ratio.key, band=(math.exp(band[k] * _BAND_LOG),
-                                  math.exp((band[k] + 1) * _BAND_LOG)),
-                abscissa=line.c, half_length=line.T, nodes=nodes))
+                log_abs[rows[k]] = (line.g0 - line.c * lnz[rows[k]]
+                                    + np.log(np.abs(sums)) - _LN2PI)
+                specs.append(MellinBarnesSpec(
+                    *ratio.key, band=(math.exp(band[k] * _BAND_LOG),
+                                      math.exp((band[k] + 1) * _BAND_LOG)),
+                    abscissa=line.c, half_length=line.T, nodes=nodes))
     return log_abs, sign, tuple(specs)
 
 
@@ -410,20 +445,20 @@ def _series_2012(z, a3, a4, a5):
 def meijer_g_2012(x, a3, a4, a5):
     """Meijer G with one upper parameter (a3) and two lower (a4, a5).
 
-    Accepts scalar or array ``x >= 0``. The lower pair may be a complex
-    conjugate pair; the value is real either way. Points with 0 < x <= 10
-    take the residue series, unless a4 - a5 is within 1e-6 of an integer
-    (where the series is invalid); a point whose series error estimate
-    exceeds 1e-11, and every other positive point, takes the contour at
-    a relative tolerance of 1e-10.
+    Accepts scalar or array ``x >= 0``, finite. The lower pair may be a
+    complex conjugate pair; the value is real either way. Points with
+    0 < x <= 10 take the residue series, unless a4 - a5 is within 1e-6
+    of an integer (where the series is invalid); a point whose series
+    error estimate exceeds 1e-11, and every other positive point, takes
+    the contour at a relative tolerance of 1e-10.
 
     A series value depends on its batch: the series stops only once the
     batch's slowest point has converged (up to 4e-9 relative against one
     point per call at M = 3), so ``pep._tabulated`` evaluates whole meshes.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
-        raise ValueError("argument must be nonnegative")
+    if not ((x_arr >= 0) & (x_arr < math.inf)).all():
+        raise ValueError("argument must be nonnegative and finite")
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
 
@@ -482,9 +517,9 @@ def meijer_g_1443_log(zeta, a3, a4, a5):
 def meijer_g_1443(zeta, a3, a4, a5):
     """Meijer G with four upper and three lower parameters.
 
-    Accepts scalar or array ``zeta > 0``. Evaluated by contour quadrature,
-    each band's line anchored near its saddle, with node doubling until
-    the relative change drops below 1e-9.
+    Accepts scalar or array ``zeta > 0``, finite. Evaluated by contour
+    quadrature, each band's line anchored near its saddle, with node
+    doubling until the relative change drops below 1e-9.
     """
     log_abs, sign, _ = meijer_g_1443_log(zeta, a3, a4, a5)
     val = sign * np.exp(log_abs)

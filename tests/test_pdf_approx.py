@@ -16,8 +16,8 @@ from scipy.integrate import quad
 
 from lisnoma import (analytic_moments, clt_params, fit_gparams, pdf_clt,
                      pdf_double_rayleigh, pdf_g)
-from lisnoma.pdf_approx import (FittingError, density_cdf_table, ks_statistic,
-                                quadrature_domain)
+from lisnoma.pdf_approx import (FittingError, density_cdf_table, ks_distance,
+                                ks_statistic, quadrature_domain)
 
 # mpmath, 60 digits, sigma2 = 0.5: (a2, a3, a4, a5, log_a1)
 MPMATH_FIT = {
@@ -162,6 +162,18 @@ def test_ks_statistic_behaves():
     shifted = good + 2.0
     assert ks_statistic(shifted, xs, cdf) > ks_statistic(good, xs, cdf)
     assert ks_statistic(shifted, xs, cdf) > 0.3
+
+
+@pytest.mark.parametrize("n", [1, 2, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                               10 ** 6, 10 ** 7])
+def test_blockwise_ks_distance_equals_the_whole_sample_form(n):
+    # CDF values inside each step, so the distance is decided by the
+    # rounding of k/n and (k+1)/n; the blocks must build those exactly
+    rng = np.random.default_rng(n)
+    F = (np.arange(n) + rng.random(n)) / n
+    up = np.max(np.abs(F - np.arange(1, n + 1) / n))
+    dn = np.max(np.abs(F - np.arange(0, n) / n))
+    assert ks_distance(F) == float(max(up, dn))
 
 
 def test_densities_reject_negative_gains():

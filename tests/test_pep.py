@@ -214,6 +214,18 @@ def test_every_form_rejects_an_event_of_another_user(form):
         f(cfg, 2, event, snr_db=20.0)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_every_form_rejects_a_non_finite_snr(form, snr_db):
+    # each form turns dB into N0 in one place; a non-finite point used to
+    # give nan, inf or an unrelated error depending on the form
+    M, f = _FORMS[form]
+    cfg = default_config(M=M)
+    event = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        f(cfg, 1, event, snr_db=snr_db)
+
+
 # ---------------------------------------------------------------------------
 # density tables of the quadrature referee
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 import scipy
 
-from lisnoma import fit_gparams, specfun
+from lisnoma import (build_event, default_config, fit_gparams, pep_general,
+                     specfun)
 from lisnoma.pdf_approx import pdf_g, quadrature_domain
 from lisnoma.specfun import (ConvergenceError, _contour_log, _offsets_1443,
                              _series_2012, meijer_g_1443, meijer_g_2012)
@@ -143,18 +144,28 @@ def test_banded_contour_matches_mpmath(M):
             assert g == pytest.approx(float(mp.re(ref)), rel=1e-12)
 
 
+# fits at which every contour value is compared between a one-argument
+# call and a batch: one-argument calls sum a (factors, 1) array of gamma
+# logs, so a reordered sum of the factors shows there first
+SINGLE_M = (1, 3, 4, 6, 16)
+SINGLE_ZETAS = np.geomspace(1e-4, 1e6, 200)
+SINGLE_ZS = np.geomspace(10.05, 400.0, 200)     # all on the contour path
+
+
 def test_value_does_not_depend_on_the_batch():
     # on the contour path (z > 10 here, and the Chernoff kernel
     # everywhere) a value depends on its argument alone, not on what
     # shares its call; series-path values depend on their batch
-    a3, a4, a5 = M3_PARAMS
-    zs = np.linspace(10.5, 120.0, 500)
-    batch = meijer_g_2012(zs, a3, a4, a5)
-    zetas = np.logspace(-2, 4, 500)
-    batch_1443 = meijer_g_1443(zetas, a3, a4, a5)
-    for i in (0, 137, 499):
-        assert meijer_g_2012(float(zs[i]), a3, a4, a5) == batch[i]
-        assert meijer_g_1443(float(zetas[i]), a3, a4, a5) == batch_1443[i]
+    moved = []
+    for M in SINGLE_M:
+        p = fit_gparams(M, 0.5)
+        for kernel, args in ((meijer_g_1443, SINGLE_ZETAS),
+                             (meijer_g_2012, SINGLE_ZS)):
+            batch = kernel(args, p.a3, p.a4, p.a5)
+            moved += [(M, kernel.__name__, float(v))
+                      for v, b in zip(args, batch)
+                      if kernel(float(v), p.a3, p.a4, p.a5) != b]
+    assert moved == []
 
 
 def test_node_doubling_raises_at_its_cap():
@@ -169,6 +180,15 @@ def test_kernel_input_validation():
     a3, a4, a5 = M6_PARAMS
     with pytest.raises(ValueError):
         meijer_g_2012(np.array([-1.0]), a3, a4, a5)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            meijer_g_1443(bad, a3, a4, a5)
+    # rejected up front, not after the contour's tail search gives up
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            meijer_g_2012(np.array([2.0, bad]), a3, a4, a5)
+        with pytest.raises(ValueError, match="finite"):
+            meijer_g_1443(np.array([2.0, bad]), a3, a4, a5)
     assert float(meijer_g_2012(np.array([0.0]), a3, a4, a5)[0]) == 0.0
     out = meijer_g_2012(np.array([[0.5, 1.0], [2.0, 3.0]]), a3, a4, a5)
     assert out.shape == (2, 2)
@@ -266,6 +286,32 @@ def test_kernel_bits_are_pinned(M):
     got = (_kernel_digest(meijer_g_1443(KERNEL_ZETAS, p.a3, p.a4, p.a5)),
            _kernel_digest(meijer_g_2012(KERNEL_ZS, p.a3, p.a4, p.a5)))
     assert got == KERNEL_GOLDEN[M]
+
+
+# sha256 of the float64 bytes of pep_general's raw values, one SNR point
+# per call on 0:40:2 dB, for user 1's and then user 2's canonical event,
+# at each of SINGLE_M; pinned for the versions in KERNEL_VERSIONS
+PEP_SNR_DB = tuple(float(s) for s in range(0, 41, 2))
+PEP_GOLDEN = {
+    1: "beca349d09a3ca35c599c6bc505571510233c9b053bd36a659f464904b5d64b5",
+    3: "2c8f9d73c5438d3427dbbc8f207db2e4201b5c4332f02c99ed0aeb005fcf27cc",
+    4: "1649b29f3fc1e81402991c2acde8269d183e8c4ad6992f02360bd0ad9f81605c",
+    6: "54be4fb90be2f73cd363a22028b31fd4fd6764102fc1db86597407fde8a68bfd",
+    16: "713891e7582120cd3e74156a74feb0e4bdfd55dbd15173c7db1f08828f45c6b0",
+}
+
+
+@pytest.mark.parametrize("M", SINGLE_M)
+def test_one_point_pep_bits_are_pinned(M):
+    if (np.__version__, scipy.__version__) != KERNEL_VERSIONS:
+        pytest.skip("pep digests were recorded with numpy %s and scipy %s"
+                    % KERNEL_VERSIONS)
+    cfg = default_config(M=M)
+    raws = []
+    for user, sic in ((1, ()), (2, (0.0,))):
+        ev = build_event(cfg, user, (1.0, 1.0), -1.0, sic)
+        raws += [pep_general(cfg, user, ev, snr_db=s).raw for s in PEP_SNR_DB]
+    assert _kernel_digest(raws) == PEP_GOLDEN[M]
 
 
 # arguments for the memo tests: the 2012 grid reaches the contour above

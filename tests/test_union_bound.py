@@ -87,6 +87,13 @@ def test_bound_saturates_at_one_at_very_low_snr(cfg):
     assert b.value[0] == pytest.approx(1.0, abs=0.3)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_curve_rejects_a_non_finite_snr(cfg, cfg1, snr_db):
+    for config in (cfg, cfg1):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            union_bound_curve(config, 1, (10.0, snr_db))
+
+
 @pytest.mark.parametrize("user", [1, 2])
 def test_curve_is_the_per_event_sum_of_scalar_peps(cfg6, user):
     # the curve evaluates every event x SNR pair in one kernel call; each
