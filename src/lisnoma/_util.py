@@ -1,5 +1,5 @@
 """Shared helpers: deterministic substreams and the pool that runs them,
-the cascade sampler, graded composite quadrature."""
+the cascade sampler, graded composite quadrature, scalar returns."""
 
 from __future__ import annotations
 
@@ -204,6 +204,11 @@ def gauss_legendre_panels(f, lo: float, hi: float, *,
     raise ConvergenceError(
         f"graded quadrature hit its cap of {_MAX_PANELS} panels: last two "
         f"values {vals[-2:]}, abs_tol {abs_tol:g}")
+
+
+def match_scalar(x, out):
+    """``out`` as a float when the input ``x`` is a scalar, else as is."""
+    return out.item() if np.ndim(x) == 0 else out
 
 
 def wilson_interval(k: int, n: int):

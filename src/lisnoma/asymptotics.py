@@ -16,9 +16,11 @@ from typing import Sequence
 from scipy import special as sp
 
 from .config import SystemConfig
-from .pep import (ErrorEvent, _chernoff_args, _distance_factor, _fit,
-                  _resolve_n0, pep_general, pep_m1)
-from .specfun import _nonpositive_int
+from .pdf_approx import fit_gparams
+from .pep import (ErrorEvent, _chernoff_args, _distance_factor, _resolve_n0,
+                  pep_general, pep_m1)
+from .specfun import _nonpositive_int, _offsets_1443
+from .union_bound import enumerate_events
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,11 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     returned instead of a masked evaluation.
     """
     N0 = _resolve_n0(snr_db)
-    p = _fit(config.M, config.sigma2)
+    p = fit_gparams(config.M, config.sigma2)
     zeta, log_k = _chernoff_args(p, _distance_factor(config, user, event),
                                  [event], [N0])
 
-    a3, a4, a5 = complex(p.a3), complex(p.a4), complex(p.a5)
-    poles = (1 + a4 / 2, (1 + a4) / 2, 1 + a5 / 2, (1 + a5) / 2)
+    _, poles, den = _offsets_1443(p.a3, p.a4, p.a5)
     order = sorted(range(4), key=lambda i: poles[i].real)
 
     coincident = False
@@ -73,8 +74,8 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
         for i in range(4):
             if i != j:
                 lg += complex(sp.loggamma(poles[i] - qj))
-        lg -= complex(sp.loggamma(1 + a3 / 2 - qj))
-        lg -= complex(sp.loggamma((1 + a3) / 2 - qj))
+        for d in den:
+            lg -= complex(sp.loggamma(d - qj))
         terms.append(cmath.exp(log_k + lg))
 
     total = sum(terms)
@@ -102,7 +103,7 @@ class DiversityReport:
 
 def analytic_diversity(M: int, sigma2: float) -> float:
     """Slope of the PEP decay: smaller shape exponent over two, plus half."""
-    return _fit(M, sigma2).min_lower_real / 2.0 + 0.5
+    return fit_gparams(M, sigma2).min_lower_real / 2.0 + 0.5
 
 
 def _normalized_probe(config: SystemConfig, user: int) -> SystemConfig:
@@ -114,7 +115,6 @@ def _normalized_probe(config: SystemConfig, user: int) -> SystemConfig:
 
 
 def _max_vartheta_event(config: SystemConfig, user: int) -> ErrorEvent:
-    from .union_bound import enumerate_events
     return max(enumerate_events(config, user), key=lambda e: e.vartheta)
 
 
@@ -129,7 +129,7 @@ def diversity_order(config: SystemConfig, user: int,
     event for the user.
     """
     config._check_user(user)
-    p = _fit(config.M, config.sigma2)
+    p = fit_gparams(config.M, config.sigma2)
     analytic = analytic_diversity(config.M, config.sigma2)
     branch = "complex-pair" if p.complex_pair else (
         "a5" if p.a5.real < p.a4.real else "a4")

@@ -74,7 +74,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
                  seed: int = 0) -> dict:
     """Full transmit -> SIC detect chain; per-user BER with Wilson 95% CI.
 
-    ``snr_db`` is a sequence of mean SNR points in dB.
+    ``snr_db`` is a sequence of mean SNR points in dB, each finite.
 
     SIC at user l detects and subtracts users 1..l-1 sequentially before
     deciding its own symbol, so detection errors propagate into the
@@ -83,6 +83,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
     if frames < 1:
         raise ValueError("frames must be at least 1")
     snr_db = tuple(float(v) for v in snr_db)
+    N0 = [_resolve_n0(v) for v in snr_db]
     scale = math.sqrt(config.sigma2)
     roots = [math.sqrt(p) for p in config.P]
     L = config.L
@@ -90,7 +91,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
     def frame_errors(key, buf):
         """Errors per user over one chunk of frames at one SNR point."""
         pi, idx, n = key
-        nstd = math.sqrt(10.0 ** (-snr_db[pi] / 10.0) / 2.0)
+        nstd = math.sqrt(N0[pi] / 2.0)
         sym_rng = chunk_rng(seed, pi, 0, idx)
         xs = [c[sym_rng.integers(0, len(c), n)]
               for c in map(np.asarray, config.constellation)]

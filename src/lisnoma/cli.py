@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -151,6 +152,8 @@ def _parse_value_grid(text: str):
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:count")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("grid start and stop must be finite")
     if n < 2 or not b > a or a < 0:
         raise ValueError("grid needs stop > start >= 0 and count >= 2")
     return np.linspace(a, b, n)

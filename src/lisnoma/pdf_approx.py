@@ -19,10 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
 
+from ._util import match_scalar
 from .moments import analytic_moments
 from .specfun import meijer_g_2012
 
@@ -36,39 +38,51 @@ class FittingError(RuntimeError):
 
 @dataclass(frozen=True)
 class GParams:
-    """Fitted kernel parameters.
+    """Kernel parameters, as the four moment equations solve for them.
 
-    ``a4`` and ``a5`` are the lower kernel parameters, a complex conjugate
-    pair when ``complex_pair`` is set (small M). ``a6 = a4 + a5`` and
-    ``a7 = a4 - a5`` are kept for reference. ``log_a1`` is the reliable
-    form of the normalizing constant for heavy parameter regimes.
+    ``a2`` and ``a3`` are the scale and the upper parameter; ``a4`` and
+    ``a5`` are the lower parameters, a complex conjugate pair when
+    ``complex_pair`` is set (small M). ``a6`` is the fit's own value of
+    a4 + a5, which the Chernoff kernel's scale reads bit for bit.
+    ``log_a1`` is the log of the normalizing constant ``a1``, the reliable
+    form for heavy parameter regimes.
     """
 
     M: int
     sigma2: float
-    a1: float
     log_a1: float
     a2: float
     a3: float
     a4: complex
     a5: complex
     a6: float
-    a7: complex
-    complex_pair: bool
 
     def __post_init__(self):
         if abs((self.a4 + self.a5) - self.a6) > 1e-9 * max(1.0, abs(self.a6)):
             raise FittingError("inconsistent parameter sums")
-        if self.complex_pair != (abs(complex(self.a7).imag) > 0):
-            raise FittingError("complex flag disagrees with the parameters")
+
+    @property
+    def a1(self) -> float:
+        return math.exp(self.log_a1) if self.log_a1 < 700 else math.inf
+
+    @property
+    def complex_pair(self) -> bool:
+        return self.a4.imag != 0
 
     @property
     def min_lower_real(self) -> float:
         return min(complex(self.a4).real, complex(self.a5).real)
 
 
+@lru_cache(maxsize=256)
 def fit_gparams(M: int, sigma2: float) -> GParams:
-    """Closed-form solution of the four moment-ratio equations."""
+    """Closed-form solution of the four moment-ratio equations.
+
+    Each (M, sigma2) is solved once: the result is kept in a memo of the
+    256 most recently used fits, so every caller shares one record.
+    Raises FittingError when the moments admit no usable fit, or when the
+    fitted kernel does not integrate to one.
+    """
     mu1, mu2, mu3, mu4 = analytic_moments(M, sigma2).as_tuple()
     if min(mu1, mu2, mu3, mu4) <= 0:
         raise FittingError("moments must be positive")
@@ -101,36 +115,33 @@ def fit_gparams(M: int, sigma2: float) -> GParams:
                     "gamma pole in the normalizing constant at parameter "
                     f"{p.real}")
 
-    log_a1 = float(np.real(
-        sp.loggamma(a3 + 1.0) - math.log(a2)
-        - sp.loggamma(a4 + 1.0) - sp.loggamma(a5 + 1.0)))
-    a1 = math.exp(log_a1) if log_a1 < 700 else math.inf
+    lg3 = sp.loggamma(a3 + 1.0)
+    lg4 = sp.loggamma(a4 + 1.0)
+    lg5 = sp.loggamma(a5 + 1.0)
+    log_a1 = float(np.real(lg3 - math.log(a2) - lg4 - lg5))
 
-    params = GParams(
-        M=int(M), sigma2=float(sigma2), a1=a1, log_a1=log_a1, a2=float(a2),
-        a3=float(a3), a4=a4, a5=a5, a6=float(a6), a7=a7,
-        complex_pair=bool(abs(a7.imag) > 0))
-
-    # cheap self-check: the fitted kernel must integrate to one
-    norm = gparams_moment(params, 0)
+    # cheap self-check: the fitted kernel must integrate to one; its mass,
+    # the Mellin transform at 1, is taken in log space to stay finite for
+    # heavy parameters
+    norm = math.exp(log_a1 + math.log(a2) + np.real(lg4 + lg5 - lg3))
     if abs(norm - 1.0) > 1e-8:
         raise FittingError(f"fit lost normalization: {norm}")
-    return params
+    return GParams(M=int(M), sigma2=float(sigma2), log_a1=log_a1,
+                   a2=float(a2), a3=float(a3), a4=a4, a5=a5, a6=float(a6))
 
 
-def gparams_moment(params: GParams, i: int) -> float:
-    """i-th raw moment implied by the fitted kernel (i = 0 gives the mass).
+def _gains(x, D: float):
+    """``x`` as a 1-D float array, and sqrt(D): the densities' one input rule.
 
-    Evaluated through the kernel's Mellin transform, entirely in log
-    space, so it stays finite for heavy parameters.
+    Rejects a distance factor that is not positive and finite, and any
+    gain that is negative or not finite.
     """
-    if i < 0:
-        raise ValueError("moment order must be nonnegative")
-    val = (params.log_a1 + (i + 1) * math.log(params.a2)
-           + np.real(sp.loggamma(params.a4 + 1.0 + i)
-                     + sp.loggamma(params.a5 + 1.0 + i)
-                     - sp.loggamma(params.a3 + 1.0 + i)))
-    return float(math.exp(val))
+    if not 0 < D < math.inf:
+        raise ValueError("distance factor must be positive and finite")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not ((x_arr >= 0) & (x_arr < math.inf)).all():
+        raise ValueError("the density is supported on finite x >= 0")
+    return x_arr, math.sqrt(D)
 
 
 def pdf_g(x, params: GParams, D: float = 1.0):
@@ -142,15 +153,9 @@ def pdf_g(x, params: GParams, D: float = 1.0):
     reproduce the closed forms. Negative values away from the origin are
     engine noise (clamped) or a genuine failure (raised).
     """
-    if D <= 0:
-        raise ValueError("distance factor must be positive")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
-        raise ValueError("the density is supported on x >= 0")
-    rd = math.sqrt(D)
+    x_arr, rd = _gains(x, D)
     z = x_arr * rd / params.a2
     g = meijer_g_2012(z, params.a3, params.a4, params.a5)
-    g = np.atleast_1d(np.asarray(g, dtype=float))
     # unit mass: integrating a1 * G(x / a2) gives the zeroth fitted moment
     vals = math.exp(params.log_a1) * rd * g
     neg = vals < 0
@@ -161,27 +166,18 @@ def pdf_g(x, params: GParams, D: float = 1.0):
         if bad.any():
             raise FittingError("kernel returned a significantly negative density")
         vals[neg & ~ripple] = 0.0
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
+    return match_scalar(x, vals)
 
 
 def pdf_double_rayleigh(x, sigma2: float, D: float = 1.0):
     """Exact single-element density of q = S / sqrt(D), unit mass."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if D <= 0:
-        raise ValueError("distance factor must be positive")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
-        raise ValueError("the density is supported on x >= 0")
-    rd = math.sqrt(D)
+    x_arr, rd = _gains(x, D)
     out = np.zeros_like(x_arr)
     pos = x_arr > 0
     out[pos] = (x_arr[pos] * D / sigma2 ** 2) * sp.k0(x_arr[pos] * rd / sigma2)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return match_scalar(x, out)
 
 
 @dataclass(frozen=True)
@@ -207,18 +203,11 @@ def clt_params(M: int, sigma2: float) -> CltParams:
 
 def pdf_clt(x, params: CltParams, D: float = 1.0):
     """Gaussian density of q = S / sqrt(D), vectorized over x."""
-    if D <= 0:
-        raise ValueError("distance factor must be positive")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
-        raise ValueError("the density is supported on x >= 0")
-    rd = math.sqrt(D)
+    x_arr, rd = _gains(x, D)
     sd = math.sqrt(params.sigma_bar2)
     t = (x_arr * rd - params.mu_bar) / sd
     out = rd / (sd * math.sqrt(2 * math.pi)) * np.exp(-0.5 * t * t)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return match_scalar(x, out)
 
 
 def quadrature_domain(M: int, sigma2: float, D: float = 1.0) -> float:

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from ._util import ConvergenceError
+from ._util import ConvergenceError, match_scalar
 
 _LN2PI = math.log(2.0 * math.pi)
 _TAIL_LOG = -43.0          # integrand tail cutoff, about 2e-19 relative
@@ -479,16 +479,18 @@ def meijer_g_2012(x, a3, a4, a5):
         log_abs, sign, _ = _contour_log(x_arr[rest], plus=(a4, a5),
                                         den_plus=(a3,))
         out[rest] = sign * np.exp(log_abs)
-
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return match_scalar(x, out)
 
 
 # ---------------------------------------------------------------------------
 # instance 2: averaged Chernoff kernel
 
 def _offsets_1443(a3, a4, a5):
+    """Gamma offsets of the Chernoff kernel: (plus, minus, den_minus).
+
+    ``minus`` holds the four pole families the high-SNR expansion sums
+    over, ``den_minus`` the two reciprocal gamma factors.
+    """
     plus = (0.0,)
     minus = (1 + complex(a4) / 2, (1 + complex(a4)) / 2,
              1 + complex(a5) / 2, (1 + complex(a5)) / 2)
@@ -522,7 +524,4 @@ def meijer_g_1443(zeta, a3, a4, a5):
     doubling until the relative change drops below 1e-9.
     """
     log_abs, sign, _ = meijer_g_1443_log(zeta, a3, a4, a5)
-    val = sign * np.exp(log_abs)
-    if np.ndim(zeta) == 0:
-        val = float(val)
-    return val
+    return match_scalar(zeta, sign * np.exp(log_abs))

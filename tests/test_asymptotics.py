@@ -58,7 +58,7 @@ def test_pole_coincidence_falls_back_to_the_exact_value(cfg, event_u1,
     # integer-separated poles would put Gamma poles into the coefficients
     fake = SimpleNamespace(a2=0.5, a3=6.0, a4=3.0, a5=1.0, a6=4.0,
                            log_a1=0.0)
-    monkeypatch.setattr(asym, "_fit", lambda M, s2: fake)
+    monkeypatch.setattr(asym, "fit_gparams", lambda M, s2: fake)
     out = pep_asymptotic(cfg, 1, event_u1, snr_db=20.0)
     assert out.coincident
     exact = pep_general(cfg, 1, event_u1, snr_db=20.0)

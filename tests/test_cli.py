@@ -122,6 +122,12 @@ def test_pdf_grid_validation(capsys):
                "--grid", "0:10")[0] == 2
     assert run(capsys, "pdf", "--M", "3", "--model", "g", "--grid",
                "0:10:50", "--user", "5")[0] == 2
+    # every model refuses a non-finite end before it tabulates anything
+    for model in ("g", "dr", "clt", "mc"):
+        for grid in ("0:inf:4", "inf:inf:4", "nan:1:4"):
+            code, out, err = run(capsys, "pdf", "--M", "1", "--model", model,
+                                 "--grid", grid, "--samples", "1000")
+            assert code == 2 and out == "" and "finite" in err
 
 
 def test_pdf_sampled_model_scales_with_user_distance(capsys):

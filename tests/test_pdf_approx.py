@@ -6,6 +6,7 @@ moment (Mellin) identity that defines the fit.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -177,14 +178,26 @@ def test_blockwise_ks_distance_equals_the_whole_sample_form(n):
 
 
 def test_densities_reject_negative_gains():
-    x = np.array([0.5, -1.0])
-    with pytest.raises(ValueError, match="x >= 0"):
-        pdf_g(x, fit_gparams(3, 0.5))
-    with pytest.raises(ValueError, match="x >= 0"):
-        pdf_double_rayleigh(x, 0.5)
-    with pytest.raises(ValueError, match="x >= 0"):
-        pdf_clt(-1.0, clt_params(3, 0.5))
+    # one input rule for all three models: a negative or non-finite gain,
+    # or a distance factor that is not positive and finite, raises instead
+    # of giving a silent 0, nan or inf
+    densities = (partial(pdf_g, params=fit_gparams(3, 0.5)),
+                 partial(pdf_double_rayleigh, sigma2=0.5),
+                 partial(pdf_clt, params=clt_params(3, 0.5)))
+    for density in densities:
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x >= 0"):
+                density(np.array([0.5, bad]))
+            with pytest.raises(ValueError, match="x >= 0"):
+                density(bad)
+        for D in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="distance factor"):
+                density(0.5, D=D)
     assert pdf_clt(0.0, clt_params(3, 0.5)) > 0.0
+
+
+def test_the_fit_is_solved_once_per_scenario():
+    assert fit_gparams(7, 0.5) is fit_gparams(7, 0.5)
 
 
 def test_fit_validation():

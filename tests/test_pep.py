@@ -13,7 +13,7 @@ from scipy.special import exp1
 
 from lisnoma import (build_event, default_config, pep, pep_asymptotic,
                      pep_clt, pep_conditional, pep_general, pep_m1,
-                     pep_quadrature, simulate_pep)
+                     pep_quadrature, simulate_ber, simulate_pep)
 from lisnoma.pep import _eta_exp_e1
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
@@ -182,6 +182,19 @@ def test_gaussian_limit_variants_and_tags():
         pep_clt(cfg15, 1, ev, snr_db=10.0, variant="bogus")
 
 
+@pytest.mark.parametrize("M", [6, 15])
+def test_unscaled_gaussian_limit_is_the_scaled_one_at_unit_distance(M):
+    # the unscaled reading leaves the distance product out; so it must be
+    # the scaled reading, to the bit, where that product is one
+    cfg = default_config(M=M)
+    unit = cfg.replace(d_B=1.0, d_R=(1.0, 0.5))
+    assert unit.distance_factor(1) == 1.0
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    for s in (-10.0, 0.0, 17.5, 40.0):
+        un = pep_clt(cfg, 1, ev, snr_db=s, variant="unscaled")
+        assert un.log_raw == pep_clt(unit, 1, ev, snr_db=s).log_raw
+
+
 def test_gaussian_limit_flags_small_element_counts(cfg6):
     ev = build_event(cfg6, 1, (1.0, 1.0), -1.0)
     assert pep_clt(cfg6, 1, ev, snr_db=10.0).method == "clt-scaled-small-M"
@@ -214,12 +227,18 @@ def test_every_form_rejects_an_event_of_another_user(form):
         f(cfg, 2, event, snr_db=20.0)
 
 
+# ... and every other entry point that turns dB into N0: the link
+# simulator, which takes a sequence of points
+_SNR_FORMS = dict(_FORMS, ber=(3, lambda cfg, user, event, snr_db:
+                               simulate_ber(cfg, (10.0, snr_db), frames=1000)))
+
+
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("form", sorted(_SNR_FORMS))
 def test_every_form_rejects_a_non_finite_snr(form, snr_db):
     # each form turns dB into N0 in one place; a non-finite point used to
     # give nan, inf or an unrelated error depending on the form
-    M, f = _FORMS[form]
+    M, f = _SNR_FORMS[form]
     cfg = default_config(M=M)
     event = build_event(cfg, 1, (1.0, 1.0), -1.0)
     with pytest.raises(ValueError, match="snr_db must be finite"):
