@@ -3,6 +3,7 @@ the cascade sampler, graded composite quadrature, scalar returns."""
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from collections import deque
@@ -16,7 +17,7 @@ import numpy as np
 CHUNK = 1 << 20
 # rows per substream of the sampled-moment and density checks
 SMALL_CHUNK = 1 << 18
-# rows of the second hop that element_sums draws at a time
+# rows of each hop that element_sums draws at a time
 _BLOCK = 1 << 12
 _ORDER = 48                 # graded rule: Gauss-Legendre points per panel,
 _MAX_PANELS = 4096          # ... and its panel cap
@@ -72,9 +73,10 @@ def substreams(fn, keys, scratch: int):
     thread ahead of the consumer; with one CPU or one key they run in the
     calling thread. numpy releases the GIL while it draws and computes on
     arrays, so the threads run at once. ``buf`` is a float64 scratch array
-    of ``scratch`` elements: a call makes one per substream running at
-    once and hands it from substream to substream, so none outlives the
-    call. ``fn`` must write nothing another substream reads or writes.
+    of ``scratch`` elements, ``element_scratch(n, M)`` for the plain
+    cascade sampler: a call makes one per substream running at once and
+    hands it from substream to substream, so none outlives the call.
+    ``fn`` must write nothing another substream reads or writes.
     Callers fold the results in key order, which makes every output
     independent of the CPU count.
     """
@@ -112,6 +114,11 @@ def _rayleigh(rng: np.random.Generator, a: np.ndarray, scale: float):
     a *= scale
 
 
+def element_scratch(n: int, M: int) -> int:
+    """Floats of scratch that `element_sums` takes for up to n rows."""
+    return 2 * M * min(n, _BLOCK)
+
+
 def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
                  buf: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -119,27 +126,32 @@ def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
 
     h and g are (n, M) Rayleigh(scale) magnitudes, each scale sqrt(2 E)
     from ``standard_exponential``, which is how ``Generator.rayleigh``
-    maps its exponentials. Both are drawn from one stream in blocks of
-    ``_BLOCK`` rows, transformed while the block is in cache: h into
-    ``buf`` (at least n M floats), kept whole; then g into one small
-    block, multiplied by its rows of h and summed into ``out`` (a new
-    array when None). So the sums and the generator's state afterwards
-    equal those of two ``rng.rayleigh(scale, (n, M))`` draws bit for bit,
-    with one (n, M) buffer and one block in memory. Each substream calls
-    it in one thread with its own generator, so the sums do not depend on
-    the CPU count.
+    maps its exponentials: h from the stream's first n M exponentials, g
+    from the next n M. A copy of the generator replays h while ``rng``,
+    once it has drawn past h into a discarded block, draws g; both go one
+    block of ``_BLOCK`` rows at a time into ``buf`` (at least
+    ``element_scratch(n, M)`` floats), are transformed while in cache,
+    multiplied and summed by row into ``out`` (a new array when None).
+    So the sums and the generator's state afterwards equal those of two
+    ``rng.rayleigh(scale, (n, M))`` draws bit for bit, with two blocks in
+    memory at any n: the price is drawing h's exponentials twice. Each
+    substream calls it in one thread with its own generator, so the sums
+    do not depend on the CPU count.
     """
-    h = buf[:n * M].reshape(n, M)
-    for a in range(0, n, _BLOCK):
-        _rayleigh(rng, h[a:a + _BLOCK], scale)
+    size = min(n, _BLOCK) * M
+    h_block, g_block = buf[:size], buf[size:2 * size]
+    h_rng = copy.deepcopy(rng)
+    for a in range(0, n * M, size):
+        rng.standard_exponential(out=g_block[:min(size, n * M - a)])
     if out is None:
         out = np.empty(n)
-    block = np.empty(min(n, _BLOCK) * M)
     for a in range(0, n, _BLOCK):
         b = min(n, a + _BLOCK)
-        g = block[:(b - a) * M].reshape(b - a, M)
+        h = h_block[:(b - a) * M].reshape(b - a, M)
+        g = g_block[:(b - a) * M].reshape(b - a, M)
+        _rayleigh(h_rng, h, scale)
         _rayleigh(rng, g, scale)
-        g *= h[a:b]
+        g *= h
         g.sum(axis=1, out=out[a:b])
     return out
 
@@ -149,7 +161,8 @@ def sample_sums(M: int, sigma2: float, count: int, seed: int,
     """`count` cascade sums, one substream per chunk of `chunk` rows.
 
     The chunks fill their own slices of the result on the substream pool,
-    so the sums do not depend on the CPU count.
+    so the sums do not depend on the CPU count. Beside the result, each
+    running substream holds only `element_sums`' two blocks.
     """
     scale = math.sqrt(sigma2)
     s = np.empty(count)
@@ -160,7 +173,7 @@ def sample_sums(M: int, sigma2: float, count: int, seed: int,
                      out=s[idx * chunk:idx * chunk + n])
 
     for _ in substreams(fill, chunk_counts(count, chunk),
-                        M * min(count, chunk)):
+                        element_scratch(count, M)):
         pass
     return s
 

@@ -44,7 +44,9 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     Each term is the first residue of one pole family of the kernel
     transform. Parameter coincidences put Gamma poles into the
     coefficients; those are reported and the exact contour value is
-    returned instead of a masked evaluation.
+    returned instead of a masked evaluation. Raises ValueError where a
+    term overflows float64, which happens far below the SNR range the
+    expansion is meant for.
     """
     N0 = _resolve_n0(snr_db)
     p = fit_gparams(config.M, config.sigma2)
@@ -76,7 +78,12 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
                 lg += complex(sp.loggamma(poles[i] - qj))
         for d in den:
             lg -= complex(sp.loggamma(d - qj))
-        terms.append(cmath.exp(log_k + lg))
+        try:
+            terms.append(cmath.exp(log_k + lg))
+        except OverflowError:
+            raise ValueError(
+                f"four-term expansion overflows float64 at {snr_db:g} dB: a "
+                f"term's log magnitude is {(log_k + lg).real:.6g}") from None
 
     total = sum(terms)
     mag = sum(abs(t) for t in terms)

@@ -7,8 +7,10 @@ in fixed-size chunks with per-chunk substreams, and the substreams run on
 a pool of one thread per CPU (`_util.substreams`) while the caller folds
 their partial sums in substream order. So identical inputs give
 bit-identical outputs no matter how the work is batched or how many CPUs
-run it. The conditional kernel of `simulate_pep` runs in the calling
-thread.
+run it. Plain sampling draws through `_util.element_sums`, which replays
+the first hop from a copy of the generator beside the second, so a
+substream holds two blocks of element magnitudes, not a whole hop. The
+conditional kernel of `simulate_pep` runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import (CHUNK, chunk_counts, chunk_rng, element_sums,
-                    sample_sums, substreams, wilson_interval)
+from ._util import (CHUNK, chunk_counts, chunk_rng, element_scratch,
+                    element_sums, sample_sums, substreams, wilson_interval)
 from .config import SystemConfig
 from .moments import analytic_moments
 from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
@@ -116,7 +118,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
             for idx, n in chunk_counts(frames)]
     errors = np.zeros((len(snr_db), L), dtype=np.int64)
     for (pi, _, _), errs in zip(keys, substreams(
-            frame_errors, keys, config.M * min(frames, CHUNK))):
+            frame_errors, keys, element_scratch(frames, config.M))):
         errors[pi] += errs
 
     out = {}
@@ -209,6 +211,8 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     s = kappa * math.pi / 8.0
     log_norm = M * math.log(8.0 * s * s)          # 4 s^2 b per element
     chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
+    scratch = (element_scratch(trials, M) if kappa == 1.0
+               else 3 * M * min(trials, chunk))
 
     def draw(key, buf):
         """One substream's cascade sums, and their weights when tilted."""
@@ -242,10 +246,9 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    for s_sum, w in substreams(draw, chunk_counts(trials, chunk),
-                               (1 if kappa == 1.0 else 3) * M
-                               * min(trials, chunk)):
-        vals = np.asarray(pep_conditional(s_sum / rd, event, N0=N0))
+    for s_sum, w in substreams(draw, chunk_counts(trials, chunk), scratch):
+        s_sum /= rd
+        vals = np.asarray(pep_conditional(s_sum, event, N0=N0))
         if w is None:
             wsum += s_sum.size
             w2sum += s_sum.size

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (SMALL_CHUNK, chunk_counts, chunk_rng, element_sums,
-                    substreams)
+from ._util import (SMALL_CHUNK, chunk_counts, chunk_rng, element_scratch,
+                    element_sums, substreams)
 
 _PI = math.pi
 
@@ -128,7 +128,7 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     sums = []
     counts = []
     for part in substreams(chunk_sums, chunk_counts(int(samples), SMALL_CHUNK),
-                           M * min(int(samples), SMALL_CHUNK)):
+                           element_scratch(int(samples), M)):
         for row, count in part:
             sums.append(row)
             counts.append(count)

@@ -34,7 +34,7 @@ from ._util import gauss_legendre_panels
 from .config import SystemConfig
 from .pdf_approx import (GParams, clt_params, fit_gparams, pdf_clt,
                          pdf_double_rayleigh, pdf_g, quadrature_domain)
-from .specfun import meijer_g_1443_log, q_function
+from .specfun import meijer_g_1443_log
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -121,7 +121,14 @@ def pep_conditional(q, event: ErrorEvent, N0: float, exact: bool = True):
     lam = event.lam_at(N0)
     q = np.asarray(q, dtype=float)
     if exact:
-        return q_function(q * event.vartheta / lam)
+        # Q(q vartheta / lam) as q_function computes it, in place on one
+        # new array
+        x = np.multiply(q, event.vartheta, out=np.empty_like(q))
+        x /= lam
+        x /= math.sqrt(2.0)
+        sp.erfc(x, out=x)
+        x *= 0.5
+        return x[()]
     return np.exp(-(q * event.vartheta) ** 2 / (2.0 * lam * lam))
 
 

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 import lisnoma.asymptotics as asym
-from lisnoma import (analytic_diversity, diversity_order, pep_asymptotic,
-                     pep_general)
+from lisnoma import (analytic_diversity, build_event, default_config,
+                     diversity_order, pep_asymptotic, pep_general)
 from lisnoma.specfun import _nonpositive_int
 
 # (min real lower shape exponent + 1) / 2, from the 60-digit fit solve
@@ -64,6 +64,13 @@ def test_pole_coincidence_falls_back_to_the_exact_value(cfg, event_u1,
     exact = pep_general(cfg, 1, event_u1, snr_db=20.0)
     assert out.value == pytest.approx(exact.value, rel=1e-12)
     assert out.terms == ()
+
+
+def test_overflowing_term_is_a_named_error():
+    cfg = default_config(M=64).replace(sigma2=0.016)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    with pytest.raises(ValueError, match="overflows float64 at -57 dB"):
+        pep_asymptotic(cfg, 1, ev, snr_db=-57.0)
 
 
 def test_pole_separation_predicate():

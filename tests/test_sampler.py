@@ -113,15 +113,30 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
         assert np.array_equal(got.get(timeout=60), want)
 
 
-def test_draw_peaks_near_one_buffer():
-    # one (n x M) buffer for the first hop plus one block of the second
-    # is the floor for these streams; a second full buffer would mean the
-    # second hop is drawn whole
-    n, M = CHUNK, 8
-    tracemalloc.start()
-    try:
-        sample_cascade(default_config(M=M), 1, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * n * M * 8
+@pytest.mark.parametrize("M", [1, 3, 15, 64])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_element_sums_equal_two_whole_rayleigh_draws(M, n):
+    # the replayed first hop must take the stream positions of a whole
+    # first draw, and leave the generator where two whole draws leave it
+    want_rng = np.random.default_rng(17)
+    want = (want_rng.rayleigh(0.7, (n, M))
+            * want_rng.rayleigh(0.7, (n, M))).sum(axis=1)
+    rng = np.random.default_rng(17)
+    got = _util.element_sums(rng, n, M, 0.7,
+                             np.empty(_util.element_scratch(n, M)))
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_draw_peak_does_not_grow_with_the_element_count():
+    # the sums s and gains q take 2 n floats and the sampler's two blocks
+    # the rest, at any M; one whole (n x M) hop alone is 8 n floats at M = 8
+    n = CHUNK
+    for M in (8, 64):
+        tracemalloc.start()
+        try:
+            sample_cascade(default_config(M=M), 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * 8, M
