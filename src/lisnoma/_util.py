@@ -76,9 +76,11 @@ def substreams(fn, keys, scratch: int):
     of ``scratch`` elements, ``element_scratch(n, M)`` for the plain
     cascade sampler: a call makes one per substream running at once and
     hands it from substream to substream, so none outlives the call.
-    ``fn`` must write nothing another substream reads or writes.
-    Callers fold the results in key order, which makes every output
-    independent of the CPU count.
+    ``fn`` must write nothing another substream reads or writes. Results
+    wait until the consumer takes them, so each result held ahead costs
+    its size: the plain callers fold ``element_blocks`` block by block
+    and return at most one chunk-length array. Callers fold the results
+    in key order, which makes every output independent of the CPU count.
     """
     free = []
 
@@ -115,36 +117,35 @@ def _rayleigh(rng: np.random.Generator, a: np.ndarray, scale: float):
 
 
 def element_scratch(n: int, M: int) -> int:
-    """Floats of scratch that `element_sums` takes for up to n rows."""
+    """Floats of scratch that `element_blocks` takes for up to n rows."""
     return 2 * M * min(n, _BLOCK)
 
 
-def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
-                 buf: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """n draws of the cascade sum: row sums of h * g over M elements.
+def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
+                   buf: np.ndarray, out: np.ndarray):
+    """Yield ``(a, b, out[a:b])`` as each block of cascade sums is drawn.
 
-    h and g are (n, M) Rayleigh(scale) magnitudes, each scale sqrt(2 E)
-    from ``standard_exponential``, which is how ``Generator.rayleigh``
-    maps its exponentials: h from the stream's first n M exponentials, g
-    from the next n M. A copy of the generator replays h while ``rng``,
-    once it has drawn past h into a discarded block, draws g; both go one
+    The sums are n draws of the row sums of h * g over M elements. h and
+    g are (n, M) Rayleigh(scale) magnitudes, each scale sqrt(2 E) from
+    ``standard_exponential``, which is how ``Generator.rayleigh`` maps
+    its exponentials: h from the stream's first n M exponentials, g from
+    the next n M. A copy of the generator replays h while ``rng``, once
+    it has drawn past h into a discarded block, draws g; both go one
     block of ``_BLOCK`` rows at a time into ``buf`` (at least
     ``element_scratch(n, M)`` floats), are transformed while in cache,
-    multiplied and summed by row into ``out`` (a new array when None).
-    So the sums and the generator's state afterwards equal those of two
-    ``rng.rayleigh(scale, (n, M))`` draws bit for bit, with two blocks in
-    memory at any n: the price is drawing h's exponentials twice. Each
-    substream calls it in one thread with its own generator, so the sums
-    do not depend on the CPU count.
+    multiplied and summed by row into ``out[a:b]``, rows a to b of the
+    n-float ``out``. The caller may fold or overwrite that slice before
+    it asks for the next block. When the loop ends, the sums and the
+    generator's state equal those of two ``rng.rayleigh(scale, (n, M))``
+    draws bit for bit, with two blocks in memory at any n: the price is
+    drawing h's exponentials twice. Each substream runs it in one thread
+    with its own generator, so the sums do not depend on the CPU count.
     """
     size = min(n, _BLOCK) * M
     h_block, g_block = buf[:size], buf[size:2 * size]
     h_rng = copy.deepcopy(rng)
     for a in range(0, n * M, size):
         rng.standard_exponential(out=g_block[:min(size, n * M - a)])
-    if out is None:
-        out = np.empty(n)
     for a in range(0, n, _BLOCK):
         b = min(n, a + _BLOCK)
         h = h_block[:(b - a) * M].reshape(b - a, M)
@@ -153,6 +154,20 @@ def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
         _rayleigh(rng, g, scale)
         g *= h
         g.sum(axis=1, out=out[a:b])
+        yield a, b, out[a:b]
+
+
+def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
+                 buf: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """n draws of the cascade sum, all of `element_blocks` into ``out``.
+
+    ``out`` is a new array when None.
+    """
+    if out is None:
+        out = np.empty(n)
+    for _ in element_blocks(rng, n, M, scale, buf, out):
+        pass
     return out
 
 

@@ -7,10 +7,15 @@ in fixed-size chunks with per-chunk substreams, and the substreams run on
 a pool of one thread per CPU (`_util.substreams`) while the caller folds
 their partial sums in substream order. So identical inputs give
 bit-identical outputs no matter how the work is batched or how many CPUs
-run it. Plain sampling draws through `_util.element_sums`, which replays
-the first hop from a copy of the generator beside the second, so a
-substream holds two blocks of element magnitudes, not a whole hop. The
-conditional kernel of `simulate_pep` runs in the calling thread.
+run it. Plain sampling draws through `_util.element_blocks`, which
+replays the first hop from a copy of the generator beside the second, so
+a substream holds two blocks of element magnitudes, not a whole hop. Its
+consumers fold one block of rows at a time and keep one chunk-length
+array each: plain `simulate_pep` its conditional values, which it
+computes block by block in the substream, and `simulate_ber` the gains
+q, beside one small-integer symbol index per frame and user; the link's
+symbols, noise and SIC decisions go block by block. Tilted `simulate_pep`
+runs the conditional kernel in the calling thread, one chunk at a time.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import (CHUNK, chunk_counts, chunk_rng, element_scratch,
-                    element_sums, sample_sums, substreams, wilson_interval)
+from ._util import (_BLOCK, CHUNK, chunk_counts, chunk_rng, element_blocks,
+                    element_scratch, element_sums, sample_sums, substreams,
+                    wilson_interval)
 from .config import SystemConfig
 from .moments import analytic_moments
 from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
@@ -90,28 +96,37 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
     roots = [math.sqrt(p) for p in config.P]
     L = config.L
 
+    consts = [np.asarray(c) for c in config.constellation]
+
     def frame_errors(key, buf):
         """Errors per user over one chunk of frames at one SNR point."""
         pi, idx, n = key
         nstd = math.sqrt(N0[pi] / 2.0)
         sym_rng = chunk_rng(seed, pi, 0, idx)
-        xs = [c[sym_rng.integers(0, len(c), n)]
-              for c in map(np.asarray, config.constellation)]
-        tx = sum(r * x for r, x in zip(roots, xs))
+        # one whole draw per user: integers buffers 32-bit halves within a
+        # call, so a draw split into blocks would take other stream bits
+        sym = [sym_rng.integers(0, c.size, n).astype(
+            np.min_scalar_type(c.size - 1)) for c in consts]
         errs = np.zeros(L, dtype=np.int64)
+        q = np.empty(n)
         for user in range(1, L + 1):
             rng = chunk_rng(seed, pi, user, idx)
-            q = element_sums(rng, n, config.M, scale, buf)
+            element_sums(rng, n, config.M, scale, buf, out=q)
             q /= math.sqrt(config.distance_factor(user))
-            y = q * tx + rng.normal(0.0, nstd, n)
-            residual = y
-            for i in range(user - 1):
-                xhat = _slice_symbols(residual, q * roots[i],
-                                      config.constellation[i])
-                residual = residual - q * roots[i] * xhat
-            own = _slice_symbols(residual, q * roots[user - 1],
-                                 config.constellation[user - 1])
-            errs[user - 1] = int(np.sum(own != xs[user - 1]))
+            # the noise follows the sums in rng's stream; normal keeps no
+            # bits between calls, so block draws equal one whole draw
+            for a in range(0, n, _BLOCK):
+                b = min(n, a + _BLOCK)
+                qb = q[a:b]
+                xs = [c[k[a:b]] for c, k in zip(consts, sym)]
+                tx = sum(r * x for r, x in zip(roots, xs))
+                residual = qb * tx + rng.normal(0.0, nstd, b - a)
+                for i in range(user - 1):
+                    xhat = _slice_symbols(residual, qb * roots[i], consts[i])
+                    residual = residual - qb * roots[i] * xhat
+                own = _slice_symbols(residual, qb * roots[user - 1],
+                                     consts[user - 1])
+                errs[user - 1] += int(np.sum(own != xs[user - 1]))
         return errs
 
     keys = [(pi, idx, n) for pi in range(len(snr_db))
@@ -215,11 +230,15 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
                else 3 * M * min(trials, chunk))
 
     def draw(key, buf):
-        """One substream's cascade sums, and their weights when tilted."""
+        """One substream's conditional values, or tilted sums and weights."""
         idx, n = key
         rng = chunk_rng(seed, idx)
         if kappa == 1.0:
-            return element_sums(rng, n, M, scale, buf), None
+            vals = np.empty(n)
+            for a, b, q in element_blocks(rng, n, M, scale, buf, vals):
+                q /= rd
+                vals[a:b] = pep_conditional(q, event, N0=N0)
+            return vals, None
         # Three uniforms on (0, 1] per element, element-major so that sums
         # over elements are row adds: w / s = -ln(u1 u2) is Gamma(2, 1),
         # and |rho| = -2 ln u3 is Exp with mean b = 2, so |rho| / b =
@@ -240,24 +259,25 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
         logw += s * u2.sum(axis=0)
         return (2.0 * sigma2 * s) * g_sum, np.exp(logw)
 
-    # the substreams draw on the pool; the conditional kernel runs in this
-    # thread, one chunk at a time, and the sums fold in substream order
+    # the substreams draw on the pool and fold in substream order; the
+    # plain ones run the conditional kernel block by block as they draw,
+    # the tilted ones leave it to this thread, one chunk at a time
     total = 0.0
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    for s_sum, w in substreams(draw, chunk_counts(trials, chunk), scratch):
-        s_sum /= rd
-        vals = np.asarray(pep_conditional(s_sum, event, N0=N0))
+    for vals, w in substreams(draw, chunk_counts(trials, chunk), scratch):
         if w is None:
-            wsum += s_sum.size
-            w2sum += s_sum.size
+            wsum += vals.size
+            w2sum += vals.size
         else:
-            vals = w * vals
+            vals /= rd              # tilted draws return the sums
+            vals = w * pep_conditional(vals, event, N0=N0)
             wsum += float(w.sum())
             w2sum += float((w * w).sum())
         total += float(vals.sum())
-        total2 += float((vals * vals).sum())
+        vals *= vals                # the bits of (vals * vals).sum()
+        total2 += float(vals.sum())
 
     mean = total / trials
     var = max(0.0, total2 / trials - mean * mean)

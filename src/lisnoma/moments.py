@@ -101,7 +101,9 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     Sampling is chunked; each chunk gets an independent substream keyed on
     (seed, chunk index) and runs on the substream pool, and the chunk sums
     are collected in chunk order, so the result is reproducible for a
-    given seed regardless of execution order or CPU count.
+    given seed regardless of execution order or CPU count. A substream
+    keeps its chunk's sums and forms the four powers of one jackknife
+    block at a time, in a (4, block) array.
     """
     if int(M) != M or M < 1:
         raise ValueError("M must be a positive integer")
@@ -118,12 +120,16 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     def chunk_sums(key, buf):
         idx, n = key
         s = element_sums(chunk_rng(seed, idx), n, M, scale, buf)
-        p = np.empty((4, n))
-        p[0] = s
-        for k in range(1, 4):
-            p[k] = p[k - 1] * s
-        return [(p[:, a:a + block].sum(axis=1), min(n, a + block) - a)
-                for a in range(0, n, block)]
+        p = np.empty((4, min(n, block)))
+        out = []
+        for a in range(0, n, block):
+            m = min(n, a + block) - a
+            rows = p[:, :m]
+            rows[0] = s[a:a + m]
+            for k in range(1, 4):
+                np.multiply(rows[k - 1], rows[0], out=rows[k])
+            out.append((rows.sum(axis=1), m))
+        return out
 
     sums = []
     counts = []

@@ -121,8 +121,8 @@ def pep_conditional(q, event: ErrorEvent, N0: float, exact: bool = True):
     lam = event.lam_at(N0)
     q = np.asarray(q, dtype=float)
     if exact:
-        # Q(q vartheta / lam) as q_function computes it, in place on one
-        # new array
+        # Q(q vartheta / lam) = 0.5 erfc(q vartheta / lam / sqrt(2)): these
+        # operations in this order, in place on one new array
         x = np.multiply(q, event.vartheta, out=np.empty_like(q))
         x /= lam
         x /= math.sqrt(2.0)

@@ -69,11 +69,6 @@ _LINES = collections.OrderedDict()
 _LINES_LOCK = threading.Lock()
 
 
-def q_function(x):
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * sp.erfc(np.asarray(x) / math.sqrt(2.0))
-
-
 # ---------------------------------------------------------------------------
 # Mellin-Barnes core
 

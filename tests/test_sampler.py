@@ -4,23 +4,38 @@ The digests below pin the random streams: each is the sha256 of the
 float64 bytes a path returns for a fixed seed. Every count spans more
 than one substream chunk, so a short final chunk drawn into reused
 buffers is covered as well, and the substreams run on the pool at any
-CPU count above one.
+CPU count above one. The plain consumers fold the sampler's output one
+block at a time; each is checked against a whole-chunk reference.
 """
 
 import hashlib
+import math
 import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lisnoma import (build_event, default_config, empirical_moments,
-                     sample_cascade, simulate_ber, simulate_pep)
+from lisnoma import (SystemConfig, build_event, default_config,
+                     empirical_moments, sample_cascade, simulate_ber,
+                     simulate_pep)
 from lisnoma import _util
-from lisnoma._util import CHUNK, SMALL_CHUNK, sample_sums
-from lisnoma.channel import _TILT_CHUNK
+from lisnoma._util import (CHUNK, SMALL_CHUNK, chunk_counts, chunk_rng,
+                           sample_sums)
+from lisnoma.channel import _TILT_CHUNK, _slice_symbols
+from lisnoma.pep import _resolve_n0, pep_conditional
 
 SMALL = 1 << 18     # rows per substream of the moment and density checks
+# counts around one sampler block and one chunk, with a short last chunk
+COUNTS = [1, 4095, 4096, 4097, CHUNK + 333]
+
+_R5 = math.sqrt(5.0)
+# three users, the middle one on a unit-energy 4-PAM alphabet: the slicer
+# takes its argmin path, and user 3 cancels two users before deciding
+L3 = SystemConfig(M=4, d_R=(4.0, 2.5, 1.5), P=(0.8, 0.18, 0.02),
+                  constellation=((-1.0, 1.0),
+                                 (-3 / _R5, -1 / _R5, 1 / _R5, 3 / _R5),
+                                 (-1.0, 1.0)))
 
 GOLDEN = {
     "sample_cascade.s":
@@ -45,6 +60,8 @@ GOLDEN = {
         "e149ed4f7487723ecdc67ee99fd8e012c585c874ab7a27e6e942aaac4a155c99",
     "sample_sums.M15":
         "cd3da5afead21dfba6a7ca2d608b6839c1dacb32907916b2d736a8df91ec98f3",
+    "simulate_ber.L3":
+        "9303e8e92acb080735e1b15300defaab1a149b54f21e1f32f1574df1c6893724",
 }
 
 
@@ -74,6 +91,7 @@ def _digests() -> dict:
         tilted[M] = [e.value, e.se, e.ess, e.kappa]
     grid = simulate_ber(default_config(M=2), (0.0, 6.0, 12.0),
                         frames=CHUNK + 333, seed=11)
+    ber3 = simulate_ber(L3, (20.0,), frames=CHUNK + 333, seed=19)
     return {
         "sample_cascade.s": _digest(batch.s),
         "sample_cascade.q": _digest(batch.q),
@@ -88,6 +106,7 @@ def _digests() -> dict:
         "simulate_ber.grid": _digest([c.errors for c in grid.values()]),
         "sample_sums.M15": _digest(sample_sums(15, 0.5, 3 * SMALL + 999,
                                                311, SMALL_CHUNK)),
+        "simulate_ber.L3": _digest([c.errors for c in ber3.values()]),
     }
 
 
@@ -140,3 +159,162 @@ def test_draw_peak_does_not_grow_with_the_element_count():
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * 8, M
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_block_normal_draws_equal_one_whole_draw(n):
+    # the link simulator draws its noise one block at a time
+    want_rng = np.random.default_rng(23)
+    want = want_rng.normal(0.0, 0.3, n)
+    rng = np.random.default_rng(23)
+    got = np.concatenate([rng.normal(0.0, 0.3, min(n, a + _util._BLOCK) - a)
+                          for a in range(0, n, _util._BLOCK)])
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_block_loop_yields_the_element_sums_in_order(n):
+    want_rng = np.random.default_rng(29)
+    want = _util.element_sums(want_rng, n, 3, 0.7,
+                              np.empty(_util.element_scratch(n, 3)))
+    rng = np.random.default_rng(29)
+    out = np.empty(n)
+    got, end = [], 0
+    for a, b, sums in _util.element_blocks(
+            rng, n, 3, 0.7, np.empty(_util.element_scratch(n, 3)), out):
+        assert a == end and sums.base is out
+        got.append(sums.copy())
+        sums[:] = -1.0          # a caller may overwrite its block
+        end = b
+    assert end == n
+    assert np.array_equal(np.concatenate(got), want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# Whole-chunk references: the consumers as they were written before they
+# streamed, each holding its chunk's arrays whole.
+
+def _whole_sums(rng, n, M, scale):
+    return (rng.rayleigh(scale, (n, M))
+            * rng.rayleigh(scale, (n, M))).sum(axis=1)
+
+
+def _pep_reference(config, user, event, snr_db, trials, seed):
+    rd = math.sqrt(config.distance_factor(user))
+    N0 = _resolve_n0(snr_db)
+    scale = math.sqrt(config.sigma2)
+    total = total2 = 0.0
+    for idx, n in chunk_counts(trials):
+        s_sum = _whole_sums(chunk_rng(seed, idx), n, config.M, scale)
+        s_sum /= rd
+        vals = np.asarray(pep_conditional(s_sum, event, N0=N0))
+        total += float(vals.sum())
+        total2 += float((vals * vals).sum())
+    mean = total / trials
+    return mean, math.sqrt(max(0.0, total2 / trials - mean * mean) / trials)
+
+
+def _ber_reference(config, snr_db, frames, seed):
+    scale = math.sqrt(config.sigma2)
+    roots = [math.sqrt(p) for p in config.P]
+    errors = np.zeros((len(snr_db), config.L), dtype=np.int64)
+    for pi, snr in enumerate(snr_db):
+        nstd = math.sqrt(_resolve_n0(snr) / 2.0)
+        for idx, n in chunk_counts(frames):
+            sym_rng = chunk_rng(seed, pi, 0, idx)
+            xs = [c[sym_rng.integers(0, len(c), n)]
+                  for c in map(np.asarray, config.constellation)]
+            tx = sum(r * x for r, x in zip(roots, xs))
+            for user in range(1, config.L + 1):
+                rng = chunk_rng(seed, pi, user, idx)
+                q = _whole_sums(rng, n, config.M, scale)
+                q /= math.sqrt(config.distance_factor(user))
+                residual = q * tx + rng.normal(0.0, nstd, n)
+                for i in range(user - 1):
+                    xhat = _slice_symbols(residual, q * roots[i],
+                                          config.constellation[i])
+                    residual = residual - q * roots[i] * xhat
+                own = _slice_symbols(residual, q * roots[user - 1],
+                                     config.constellation[user - 1])
+                errors[pi, user - 1] += int(np.sum(own != xs[user - 1]))
+    return errors.T.tolist()
+
+
+def _moments_reference(M, sigma2, samples, seed):
+    block = max(2500, -(-samples // 64))
+    sums, counts = [], []
+    for idx, n in chunk_counts(samples, SMALL_CHUNK):
+        s = _whole_sums(chunk_rng(seed, idx), n, M, math.sqrt(sigma2))
+        p = np.empty((4, n))
+        p[0] = s
+        for k in range(1, 4):
+            p[k] = p[k - 1] * s
+        for a in range(0, n, block):
+            sums.append(p[:, a:a + block].sum(axis=1))
+            counts.append(min(n, a + block) - a)
+    sums = np.array(sums)
+    counts = np.array(counts, dtype=float)
+    total = counts.sum()
+    C = len(counts)
+    se = []
+    for k in range(4):
+        loo = (sums[:, k].sum() - sums[:, k]) / (total - counts)
+        se.append(math.sqrt((C - 1) / C * np.sum((loo - loo.mean()) ** 2)))
+    return tuple(sums.sum(axis=0) / total), tuple(se)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_plain_pep_equals_its_whole_chunk_reference(n):
+    cfg = default_config(M=3)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    est = simulate_pep(cfg, 1, interference=ev, snr_db=5.0, trials=n,
+                       seed=31)
+    assert est.kappa == 1.0
+    assert (est.value, est.se) == _pep_reference(cfg, 1, ev, 5.0, n, 31)
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_link_simulation_equals_its_whole_chunk_reference(n):
+    got = simulate_ber(L3, (10.0, 20.0), frames=n, seed=37)
+    assert [list(c.errors) for c in got.values()] == _ber_reference(
+        L3, (10.0, 20.0), n, 37)
+
+
+# empirical_moments takes at least MIN_SAMPLES; the counts give one short
+# jackknife block, a chunk ending in a short block, and blocks wider than
+# numpy's 8,192-element reduction buffer
+@pytest.mark.parametrize("n", [10_000, SMALL_CHUNK + 333, CHUNK + 333])
+def test_sampled_moments_equal_their_whole_chunk_reference(n):
+    got = empirical_moments(2, 0.5, samples=n, seed=41)
+    assert (got.mu, got.se) == _moments_reference(2, 0.5, n, 41)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _plain_pep(trials):
+    cfg = default_config(M=15)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    return simulate_pep(cfg, 1, interference=ev, snr_db=5.0, trials=trials)
+
+
+@pytest.mark.parametrize("run, n, bound", [
+    (lambda n: simulate_ber(default_config(M=6), (6.0,), frames=n), SMALL,
+     2.0),
+    (lambda n: empirical_moments(15, 0.5, samples=n), SMALL, 2.0),
+    (_plain_pep, CHUNK, 1.25),
+], ids=["ber", "moments", "pep"])
+def test_consumers_hold_one_chunk_array(monkeypatch, run, n, bound):
+    # at one CPU a consumer keeps one n-float array beside the sampler's
+    # blocks: the gains q (and one index draw) for the link simulator,
+    # the sums for the moments, the conditional values for the PEP;
+    # whole-chunk folds peaked at about 11, 6 and 3 such arrays
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
+    assert _traced_peak(lambda: run(n)) <= bound * n * 8
