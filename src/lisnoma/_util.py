@@ -66,45 +66,30 @@ def _pool(workers: int, pid: int):
     return ThreadPoolExecutor(workers, thread_name_prefix="lisnoma")
 
 
-def substreams(fn, keys, scratch: int):
-    """Yield ``fn(key, buf)`` for every key, in key order.
+def substreams(fn, keys):
+    """Yield ``fn(key)`` for every key, in key order.
 
     The calls run on a shared pool of one thread per CPU, at most two per
     thread ahead of the consumer; with one CPU or one key they run in the
     calling thread. numpy releases the GIL while it draws and computes on
-    arrays, so the threads run at once. ``buf`` is a float64 scratch array
-    of ``scratch`` elements, ``element_scratch(n, M)`` for the plain
-    cascade sampler: a call makes one per substream running at once and
-    hands it from substream to substream, so none outlives the call.
-    ``fn`` must write nothing another substream reads or writes. Results
+    arrays, so the threads run at once. ``fn`` allocates its own scratch
+    and must write nothing another substream reads or writes. Results
     wait until the consumer takes them, so each result held ahead costs
     its size: the plain callers fold ``element_blocks`` block by block
     and return at most one chunk-length array. Callers fold the results
     in key order, which makes every output independent of the CPU count.
     """
-    free = []
-
-    def run(key):
-        try:
-            buf = free.pop()
-        except IndexError:
-            buf = np.empty(scratch)
-        try:
-            return fn(key, buf)
-        finally:
-            free.append(buf)
-
     keys = list(keys)
     workers = _cpu_count()
     if workers == 1 or len(keys) == 1:
-        yield from map(run, keys)
+        yield from map(fn, keys)
         return
     pool = _pool(workers, os.getpid())
     todo = iter(keys)
-    pending = deque(pool.submit(run, k) for k in islice(todo, 2 * workers))
+    pending = deque(pool.submit(fn, k) for k in islice(todo, 2 * workers))
     while pending:
         result = pending.popleft().result()
-        pending.extend(pool.submit(run, k) for k in islice(todo, 1))
+        pending.extend(pool.submit(fn, k) for k in islice(todo, 1))
         yield result
 
 
@@ -116,13 +101,8 @@ def _rayleigh(rng: np.random.Generator, a: np.ndarray, scale: float):
     a *= scale
 
 
-def element_scratch(n: int, M: int) -> int:
-    """Floats of scratch that `element_blocks` takes for up to n rows."""
-    return 2 * M * min(n, _BLOCK)
-
-
 def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
-                   buf: np.ndarray, out: np.ndarray):
+                   out: np.ndarray):
     """Yield ``(a, b, out[a:b])`` as each block of cascade sums is drawn.
 
     The sums are n draws of the row sums of h * g over M elements. h and
@@ -131,8 +111,8 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
     its exponentials: h from the stream's first n M exponentials, g from
     the next n M. A copy of the generator replays h while ``rng``, once
     it has drawn past h into a discarded block, draws g; both go one
-    block of ``_BLOCK`` rows at a time into ``buf`` (at least
-    ``element_scratch(n, M)`` floats), are transformed while in cache,
+    block of ``_BLOCK`` rows at a time into one of two blocks that the
+    call allocates for itself, are transformed while in cache,
     multiplied and summed by row into ``out[a:b]``, rows a to b of the
     n-float ``out``. The caller may fold or overwrite that slice before
     it asks for the next block. When the loop ends, the sums and the
@@ -142,7 +122,7 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
     with its own generator, so the sums do not depend on the CPU count.
     """
     size = min(n, _BLOCK) * M
-    h_block, g_block = buf[:size], buf[size:2 * size]
+    h_block, g_block = np.empty((2, size))
     h_rng = copy.deepcopy(rng)
     for a in range(0, n * M, size):
         rng.standard_exponential(out=g_block[:min(size, n * M - a)])
@@ -158,7 +138,6 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
 
 
 def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
-                 buf: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """n draws of the cascade sum, all of `element_blocks` into ``out``.
 
@@ -166,7 +145,7 @@ def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
     """
     if out is None:
         out = np.empty(n)
-    for _ in element_blocks(rng, n, M, scale, buf, out):
+    for _ in element_blocks(rng, n, M, scale, out):
         pass
     return out
 
@@ -182,13 +161,12 @@ def sample_sums(M: int, sigma2: float, count: int, seed: int,
     scale = math.sqrt(sigma2)
     s = np.empty(count)
 
-    def fill(key, buf):
+    def fill(key):
         idx, n = key
-        element_sums(chunk_rng(seed, idx), n, M, scale, buf,
+        element_sums(chunk_rng(seed, idx), n, M, scale,
                      out=s[idx * chunk:idx * chunk + n])
 
-    for _ in substreams(fill, chunk_counts(count, chunk),
-                        element_scratch(count, M)):
+    for _ in substreams(fill, chunk_counts(count, chunk)):
         pass
     return s
 
@@ -214,8 +192,6 @@ def gauss_legendre_panels(f, lo: float, hi: float, *,
     ConvergenceError when that would take more than _MAX_PANELS panels.
     Deterministic by construction.
     """
-    if hi <= lo:
-        return 0.0
     nodes, weights = _legendre_rule(_ORDER)
     breaks = lo + (hi - lo) * np.r_[0.0, np.exp2(-np.arange(40.0, -1.0, -1.0))]
     per_level, vals = 1, []

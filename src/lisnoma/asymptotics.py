@@ -33,9 +33,6 @@ class AsymptoticPep:
     exponents: tuple        # the four zeta powers, leading first
     coincident: bool        # Gamma poles coincide: no terms, the contour value
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
                    snr_db: float) -> AsymptoticPep:

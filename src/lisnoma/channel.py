@@ -9,12 +9,14 @@ their partial sums in substream order. So identical inputs give
 bit-identical outputs no matter how the work is batched or how many CPUs
 run it. Plain sampling draws through `_util.element_blocks`, which
 replays the first hop from a copy of the generator beside the second, so
-a substream holds two blocks of element magnitudes, not a whole hop. Its
-consumers fold one block of rows at a time and keep one chunk-length
-array each: plain `simulate_pep` its conditional values, which it
-computes block by block in the substream, and `simulate_ber` the gains
-q, beside one small-integer symbol index per frame and user; the link's
-symbols, noise and SIC decisions go block by block. Tilted `simulate_pep`
+a substream allocates two blocks of element magnitudes for itself, not a
+whole hop; no scratch passes between substreams. Its consumers fold one
+block of rows at a time and keep one chunk-length array each: plain
+`simulate_pep` its conditional values, which it computes block by block
+in the substream, and `simulate_ber` the gains q, beside one
+small-integer symbol index per frame and user; the link's symbols, noise
+and SIC decisions go block by block. Tilted `simulate_pep` draws each
+chunk's uniforms into a (3, M, rows) array of the substream's own and
 runs the conditional kernel in the calling thread, one chunk at a time.
 """
 
@@ -27,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import (_BLOCK, CHUNK, chunk_counts, chunk_rng, element_blocks,
-                    element_scratch, element_sums, sample_sums, substreams,
-                    wilson_interval)
+                    element_sums, sample_sums, substreams, wilson_interval)
 from .config import SystemConfig
 from .moments import analytic_moments
 from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
@@ -98,7 +99,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
 
     consts = [np.asarray(c) for c in config.constellation]
 
-    def frame_errors(key, buf):
+    def frame_errors(key):
         """Errors per user over one chunk of frames at one SNR point."""
         pi, idx, n = key
         nstd = math.sqrt(N0[pi] / 2.0)
@@ -111,7 +112,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
         q = np.empty(n)
         for user in range(1, L + 1):
             rng = chunk_rng(seed, pi, user, idx)
-            element_sums(rng, n, config.M, scale, buf, out=q)
+            element_sums(rng, n, config.M, scale, out=q)
             q /= math.sqrt(config.distance_factor(user))
             # the noise follows the sums in rng's stream; normal keeps no
             # bits between calls, so block draws equal one whole draw
@@ -132,8 +133,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
     keys = [(pi, idx, n) for pi in range(len(snr_db))
             for idx, n in chunk_counts(frames)]
     errors = np.zeros((len(snr_db), L), dtype=np.int64)
-    for (pi, _, _), errs in zip(keys, substreams(
-            frame_errors, keys, element_scratch(frames, config.M))):
+    for (pi, _, _), errs in zip(keys, substreams(frame_errors, keys)):
         errors[pi] += errs
 
     out = {}
@@ -155,9 +155,6 @@ class PepEstimate:
     ess: float          # effective sample size under the weights
     kappa: float        # tilted over true mean element sum (1 = plain sampling)
     flagged: bool       # vartheta <= 0: error probability above one half
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # Tilted proposal, per element. With u, v the two hop powers over 2 sigma2,
@@ -226,16 +223,14 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     s = kappa * math.pi / 8.0
     log_norm = M * math.log(8.0 * s * s)          # 4 s^2 b per element
     chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
-    scratch = (element_scratch(trials, M) if kappa == 1.0
-               else 3 * M * min(trials, chunk))
 
-    def draw(key, buf):
+    def draw(key):
         """One substream's conditional values, or tilted sums and weights."""
         idx, n = key
         rng = chunk_rng(seed, idx)
         if kappa == 1.0:
             vals = np.empty(n)
-            for a, b, q in element_blocks(rng, n, M, scale, buf, vals):
+            for a, b, q in element_blocks(rng, n, M, scale, vals):
                 q /= rd
                 vals[a:b] = pep_conditional(q, event, N0=N0)
             return vals, None
@@ -243,8 +238,7 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
         # over elements are row adds: w / s = -ln(u1 u2) is Gamma(2, 1),
         # and |rho| = -2 ln u3 is Exp with mean b = 2, so |rho| / b =
         # -ln u3 and 2 cosh rho = u3^-2 + u3^2.
-        u = buf[:3 * M * n].reshape(3, M, n)
-        rng.random(out=u)
+        u = rng.random((3, M, n))
         np.subtract(1.0, u, out=u)
         u1, u2, u3 = u
         u1 *= u2
@@ -266,7 +260,7 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    for vals, w in substreams(draw, chunk_counts(trials, chunk), scratch):
+    for vals, w in substreams(draw, chunk_counts(trials, chunk)):
         if w is None:
             wsum += vals.size
             w2sum += vals.size

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, checks
+from ._util import _Z95
 from .asymptotics import analytic_diversity, diversity_order
 from .channel import sample_cascade, simulate_ber, simulate_pep
 from .config import SnrGrid, SystemConfig, default_config, load_scenario
@@ -282,8 +283,8 @@ def _cmd_pep(args, parser) -> int:
             est = simulate_pep(cfg, args.user, interference=event,
                                snr_db=s, trials=args.trials, seed=seed,
                                importance=True)
-            lo = max(0.0, est.value - 1.959963984540054 * est.se)
-            hi = min(1.0, est.value + 1.959963984540054 * est.se)
+            lo = max(0.0, est.value - _Z95 * est.se)
+            hi = min(1.0, est.value + _Z95 * est.se)
             rows.append(",".join((_fmt(s), _fmt(est.value), _fmt(lo),
                                   _fmt(hi), "mc")))
             continue

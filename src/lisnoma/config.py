@@ -156,7 +156,3 @@ class SnrGrid:
         if len(parts) != 3:
             raise ValueError("expected a:b:step")
         return cls.from_range_db(float(parts[0]), float(parts[1]), float(parts[2]))
-
-    def __len__(self):
-        return len(self.db)
-

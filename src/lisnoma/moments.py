@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (SMALL_CHUNK, chunk_counts, chunk_rng, element_scratch,
-                    element_sums, substreams)
+from ._util import (SMALL_CHUNK, chunk_counts, chunk_rng, element_sums,
+                    substreams)
 
 _PI = math.pi
 
@@ -86,9 +86,6 @@ class EmpiricalMoments:
     samples: int
     seed: int
 
-    def as_tuple(self):
-        return self.mu
-
 
 # fewest samples the jackknife standard errors are computed from
 MIN_SAMPLES = 10_000
@@ -117,9 +114,9 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     # draw chunks so runs smaller than one chunk still get an error bar
     block = max(2500, -(-int(samples) // 64))
 
-    def chunk_sums(key, buf):
+    def chunk_sums(key):
         idx, n = key
-        s = element_sums(chunk_rng(seed, idx), n, M, scale, buf)
+        s = element_sums(chunk_rng(seed, idx), n, M, scale)
         p = np.empty((4, min(n, block)))
         out = []
         for a in range(0, n, block):
@@ -133,8 +130,8 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
 
     sums = []
     counts = []
-    for part in substreams(chunk_sums, chunk_counts(int(samples), SMALL_CHUNK),
-                           element_scratch(int(samples), M)):
+    for part in substreams(chunk_sums,
+                           chunk_counts(int(samples), SMALL_CHUNK)):
         for row, count in part:
             sums.append(row)
             counts.append(count)

@@ -224,15 +224,13 @@ def _eta_exp_e1(eta: float) -> float:
     if eta < 50.0:
         # direct product: within 1e-15 relative up to here, no overflow
         return eta * math.exp(eta) * float(sp.exp1(eta))
-    # divergent asymptotic series, truncated at its smallest term; its 24
-    # terms fall below 1e-17 relative only from about eta = 50
+    # divergent asymptotic series, truncated after 24 terms: from eta = 50
+    # each term is k / eta < 1 times the last, and the 24th falls below
+    # 1e-17 relative
     acc = 1.0
     term = 1.0
     for k in range(1, 25):
-        nxt = term * k / eta
-        if nxt >= abs(term) and k > 2:
-            break
-        term = nxt
+        term = term * k / eta
         acc += term if k % 2 == 0 else -term
     return acc
 

@@ -81,7 +81,7 @@ class MellinBarnesSpec:
     corresponding denominator offsets. The band holds the arguments z
     with ``band[0] <= z < band[1]``. Its contour is the vertical line
     Re s = abscissa, truncated at ``half_length``; ``nodes`` is the node
-    count at which the band's last argument converged (nodes >= 64).
+    count at which the band's last argument converged.
     """
 
     plus: tuple
@@ -92,10 +92,6 @@ class MellinBarnesSpec:
     abscissa: float
     half_length: float
     nodes: int
-
-    def __post_init__(self):
-        if self.nodes < 64:
-            raise ValueError("node count must be at least 64")
 
 
 class _GammaRatio:

@@ -29,8 +29,6 @@ def enumerate_events(config: SystemConfig, user: int) -> tuple:
     """
     config._check_user(user)
     own = config.constellation[user - 1]
-    if len(own) < 2:
-        raise ValueError("user needs at least two symbols for error events")
 
     events = []
     for x in itertools.product(*config.constellation):

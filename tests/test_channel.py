@@ -52,7 +52,7 @@ def test_link_simulation_shape_and_determinism(cfg):
         c = sim[user]
         assert c.user == user
         assert c.snr_db == pytest.approx(grid.db)
-        assert len(c.ber) == len(grid) and len(c.errors) == len(grid)
+        assert len(c.ber) == len(c.errors) == len(grid.db)
         assert c.frames == 20_000
         assert all(0.0 <= lo <= b <= hi <= 1.0 for lo, b, hi
                    in zip(c.ci_low, c.ber, c.ci_high))

@@ -61,6 +61,13 @@ def test_invalid_configurations_rejected(kw):
         default_config(**kw)
 
 
+def test_one_symbol_constellation_rejected():
+    # (1.0,) has unit energy, so only the two-symbol rule refuses it; that
+    # rule is why enumerate_events needs no check of its own
+    with pytest.raises(ValueError, match="at least two symbols"):
+        default_config(constellation=((1.0,), BPSK))
+
+
 def test_json_round_trip(tmp_path):
     cfg = default_config(M=5, sigma2=0.7)
     path = tmp_path / "scenario.json"
@@ -86,7 +93,7 @@ def test_user_count_is_the_length_of_the_power_split():
 
 def test_snr_grid_parse_and_db():
     grid = SnrGrid.parse("0:30:5")
-    assert len(grid) == 7
+    assert len(grid.db) == 7
     assert grid.db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 

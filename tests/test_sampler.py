@@ -2,10 +2,10 @@
 
 The digests below pin the random streams: each is the sha256 of the
 float64 bytes a path returns for a fixed seed. Every count spans more
-than one substream chunk, so a short final chunk drawn into reused
-buffers is covered as well, and the substreams run on the pool at any
-CPU count above one. The plain consumers fold the sampler's output one
-block at a time; each is checked against a whole-chunk reference.
+than one substream chunk, so a short final chunk is covered as well,
+and the substreams run on the pool at any CPU count above one. The
+plain consumers fold the sampler's output one block at a time; each is
+checked against a whole-chunk reference.
 """
 
 import hashlib
@@ -141,8 +141,7 @@ def test_element_sums_equal_two_whole_rayleigh_draws(M, n):
     want = (want_rng.rayleigh(0.7, (n, M))
             * want_rng.rayleigh(0.7, (n, M))).sum(axis=1)
     rng = np.random.default_rng(17)
-    got = _util.element_sums(rng, n, M, 0.7,
-                             np.empty(_util.element_scratch(n, M)))
+    got = _util.element_sums(rng, n, M, 0.7)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -176,13 +175,11 @@ def test_block_normal_draws_equal_one_whole_draw(n):
 @pytest.mark.parametrize("n", COUNTS)
 def test_block_loop_yields_the_element_sums_in_order(n):
     want_rng = np.random.default_rng(29)
-    want = _util.element_sums(want_rng, n, 3, 0.7,
-                              np.empty(_util.element_scratch(n, 3)))
+    want = _util.element_sums(want_rng, n, 3, 0.7)
     rng = np.random.default_rng(29)
     out = np.empty(n)
     got, end = [], 0
-    for a, b, sums in _util.element_blocks(
-            rng, n, 3, 0.7, np.empty(_util.element_scratch(n, 3)), out):
+    for a, b, sums in _util.element_blocks(rng, n, 3, 0.7, out):
         assert a == end and sums.base is out
         got.append(sums.copy())
         sums[:] = -1.0          # a caller may overwrite its block
@@ -318,3 +315,19 @@ def test_consumers_hold_one_chunk_array(monkeypatch, run, n, bound):
     # whole-chunk folds peaked at about 11, 6 and 3 such arrays
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
     assert _traced_peak(lambda: run(n)) <= bound * n * 8
+
+
+def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
+    # a tilted substream draws three uniforms per element and row into
+    # one (3, M, chunk) array and returns two chunk-length arrays; at one
+    # CPU each chunk is folded before the next is drawn, so the peak stays
+    # near one draw array whatever the trial count
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
+    cfg = default_config(M=15)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    est = []
+    peak = _traced_peak(lambda: est.append(simulate_pep(
+        cfg, 1, interference=ev, snr_db=30.0, trials=1 << 18, seed=5,
+        importance=True)))
+    assert est[0].kappa < 1.0
+    assert peak <= 1.25 * 3 * 15 * _TILT_CHUNK * 8

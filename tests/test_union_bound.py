@@ -63,7 +63,7 @@ def test_bound_dominates_simulation_spot_check(cfg):
     sim = simulate_ber(cfg, grid.db, frames=150_000, seed=17)
     for user in (1, 2):
         b = union_bound_curve(cfg, user, grid.db)
-        for i in range(len(grid)):
+        for i in range(len(grid.db)):
             assert b.value[i] >= sim[user].ci_low[i]
 
 
