@@ -236,24 +236,21 @@ def _eta_exp_e1(eta: float) -> float:
 
 
 def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
-            snr_db: float, variant: str = "scaled") -> PepValue:
+            snr_db: float) -> PepValue:
     """Gaussian-limit Chernoff bound, intended for M above 10.
 
-    Two published variants of the same bound exist; they differ in
-    whether the distance product enters the quadratic coefficient. The
-    ``scaled`` variant is the one that matches the quadrature oracle; the
-    ``unscaled`` variant, the same formula at unit distance product, is
-    kept for check 10 of the validation suite, which reports both.
+    Two published readings of the same bound exist; they differ in
+    whether the distance product enters the quadratic coefficient. This
+    is the scaled reading, the one that matches the quadrature oracle.
+    The unscaled reading is this formula at unit distance product; check
+    10 of the validation suite takes it from a unit-distance copy of the
+    scenario and reports both.
     """
-    if variant not in ("scaled", "unscaled"):
-        raise ValueError("variant must be 'scaled' or 'unscaled'")
     if event.vartheta == 0:
         raise ValueError("vartheta must be nonzero")
     N0 = _resolve_n0(snr_db)
     lam2 = 2.0 * N0 * event.delta_bar ** 2
     D = _distance_factor(config, user, event)
-    if variant == "unscaled":
-        D = 1.0
     cp = clt_params(config.M, config.sigma2)
     mu, var = cp.mu_bar, cp.sigma_bar2
     th2 = event.vartheta ** 2
@@ -266,7 +263,7 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
 
     # M <= 10 is outside the intended regime; the method tag says so
     small = "-small-M" if config.M <= 10 else ""
-    return _finish(log_raw, f"clt-{variant}{small}", event)
+    return _finish(log_raw, f"clt-scaled{small}", event)
 
 
 def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,

@@ -18,52 +18,52 @@ def _by_id(results):
 
 @pytest.fixture(scope="module")
 def moments():
-    return _by_id(checks.check_moments())
+    return _by_id(checks.run_all(only=("1",)))
 
 
 @pytest.fixture(scope="module")
 def branches():
-    return _by_id(checks.check_branch_consistency())
+    return _by_id(checks.run_all(only=("2",)))
 
 
 @pytest.fixture(scope="module")
 def density():
-    return _by_id(checks.check_density_fit())
+    return _by_id(checks.run_all(only=("3",)))
 
 
 @pytest.fixture(scope="module")
 def integrals():
-    return _by_id(checks.check_integral_identities())
+    return _by_id(checks.run_all(only=("4",)))
 
 
 @pytest.fixture(scope="module")
 def dominance():
-    return _by_id(checks.check_bound_dominance())
+    return _by_id(checks.run_all(only=("5",)))
 
 
 @pytest.fixture(scope="module")
 def diversity():
-    return _by_id(checks.check_diversity())
+    return _by_id(checks.run_all(only=("6",)))
 
 
 @pytest.fixture(scope="module")
 def union():
-    return _by_id(checks.check_union_bound())
+    return _by_id(checks.run_all(only=("7",)))
 
 
 @pytest.fixture(scope="module")
 def power():
-    return _by_id(checks.check_power_sensitivity())
+    return _by_id(checks.run_all(only=("8",)))
 
 
 @pytest.fixture(scope="module")
 def trend():
-    return _by_id(checks.check_parameter_trend())
+    return _by_id(checks.run_all(only=("9",)))
 
 
 @pytest.fixture(scope="module")
 def adjudication():
-    return _by_id(checks.check_adjudication())
+    return _by_id(checks.run_all(only=("10",)))
 
 
 def _gate(result):

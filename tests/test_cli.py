@@ -333,10 +333,10 @@ def test_validate_honest_exit_codes(capsys, monkeypatch):
     # a criterion that fails by construction must turn the exit code red
 
     def failing(quick=False):
-        return [checks.CheckResult(criterion="99", label="always fails",
-                                   passed=False, detail="by construction")]
+        yield "99", False, "by construction"
 
     monkeypatch.setattr(checks, "CHECKS", checks.CHECKS + (("99", failing),))
+    monkeypatch.setitem(checks.CRITERIA, "99", ("always fails", None))
     code, out, _ = run(capsys, "validate", "--only", "99", "--quick")
     assert code == 1
     assert "[FAIL]" in out and "always fails" in out

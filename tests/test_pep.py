@@ -14,6 +14,7 @@ from scipy.special import exp1
 from lisnoma import (build_event, default_config, pep, pep_asymptotic,
                      pep_clt, pep_conditional, pep_general, pep_m1,
                      pep_quadrature, simulate_ber, simulate_pep)
+from lisnoma.asymptotics import _normalized_probe
 from lisnoma.pep import _eta_exp_e1
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
@@ -167,32 +168,30 @@ def test_bound_decreases_with_snr_and_saturates(cfg, event_u1):
 # ---------------------------------------------------------------------------
 # Gaussian-limit closed form
 
-def test_gaussian_limit_variants_and_tags():
+def test_gaussian_limit_tag_and_referee():
     cfg15 = default_config(M=15)
     ev = build_event(cfg15, 1, (1.0, 1.0), -1.0)
     scaled = pep_clt(cfg15, 1, ev, snr_db=10.0)
-    unscaled = pep_clt(cfg15, 1, ev, snr_db=10.0, variant="unscaled")
     assert scaled.method == "clt-scaled"
-    assert unscaled.method == "clt-unscaled"
-    assert scaled.raw != pytest.approx(unscaled.raw, rel=0.5)
     ref = pep_quadrature(cfg15, 1, ev, snr_db=10.0, pdf_model="clt",
                          abs_tol=scaled.raw * 1e-12)
     assert scaled.raw == pytest.approx(ref, rel=1e-9)
-    with pytest.raises(ValueError):
-        pep_clt(cfg15, 1, ev, snr_db=10.0, variant="bogus")
 
 
 @pytest.mark.parametrize("M", [6, 15])
 def test_unscaled_gaussian_limit_is_the_scaled_one_at_unit_distance(M):
-    # the unscaled reading leaves the distance product out; so it must be
-    # the scaled reading, to the bit, where that product is one
+    # the unscaled reading leaves the distance product out; check 10 takes
+    # it as the scaled reading on a copy of the scenario where that
+    # product is exactly one, and the two readings differ
     cfg = default_config(M=M)
-    unit = cfg.replace(d_B=1.0, d_R=(1.0, 0.5))
-    assert unit.distance_factor(1) == 1.0
-    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
-    for s in (-10.0, 0.0, 17.5, 40.0):
-        un = pep_clt(cfg, 1, ev, snr_db=s, variant="unscaled")
-        assert un.log_raw == pep_clt(unit, 1, ev, snr_db=s).log_raw
+    for user in (1, 2):
+        unit = _normalized_probe(cfg, user)
+        assert unit.distance_factor(user) == 1.0
+        ev = build_event(cfg, user, (1.0, 1.0), -1.0,
+                         sic_errors=(0.0,) if user == 2 else None)
+        assert (pep_clt(cfg, user, ev, snr_db=10.0).raw
+                != pytest.approx(pep_clt(unit, user, ev, snr_db=10.0).raw,
+                                 rel=0.5))
 
 
 def test_gaussian_limit_flags_small_element_counts(cfg6):
