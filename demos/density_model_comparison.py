@@ -15,9 +15,10 @@ import numpy as np
 
 from lisnoma.channel import sample_cascade
 from lisnoma.config import default_config
-from lisnoma.pdf_approx import (clt_params, density_cdf_table, fit_gparams,
-                                ks_statistic, pdf_clt, pdf_double_rayleigh,
-                                pdf_g, quadrature_domain)
+from lisnoma.moments import analytic_moments
+from lisnoma.pdf_approx import (density_cdf_table, fit_gparams, ks_statistic,
+                                pdf_clt, pdf_double_rayleigh, pdf_g,
+                                quadrature_domain)
 
 OUT = Path(__file__).resolve().parent / "output"
 
@@ -38,8 +39,9 @@ def main() -> None:
         centers = (edges[1:] + edges[:-1]) / 2.0
 
         params = fit_gparams(M, cfg.sigma2)
+        moments = analytic_moments(M, cfg.sigma2)
         fitted = pdf_g(centers, params)
-        gauss = pdf_clt(centers, clt_params(M, cfg.sigma2))
+        gauss = pdf_clt(centers, moments)
         exact = (pdf_double_rayleigh(centers, cfg.sigma2) if M == 1
                  else np.full_like(centers, np.nan))
 
@@ -54,8 +56,7 @@ def main() -> None:
 
         xs, cdf = density_cdf_table(lambda x: pdf_g(x, params), hi)
         ks_fit = ks_statistic(q, xs, cdf)
-        xs, cdf = density_cdf_table(
-            lambda x: pdf_clt(x, clt_params(M, cfg.sigma2)), hi)
+        xs, cdf = density_cdf_table(lambda x: pdf_clt(x, moments), hi)
         ks_clt = ks_statistic(q, xs, cdf)
         sup = float(np.max(np.abs(fitted - dens)))
         print(f"wrote {path}")

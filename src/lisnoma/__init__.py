@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .config import SnrGrid, SystemConfig, default_config, load_scenario
 from .moments import Moments, analytic_moments, empirical_moments
-from .pdf_approx import (CltParams, FittingError, GParams, clt_params,
-                         fit_gparams, pdf_clt, pdf_double_rayleigh, pdf_g)
+from .pdf_approx import (FittingError, GParams, fit_gparams, pdf_clt,
+                         pdf_double_rayleigh, pdf_g)
 from .specfun import ConvergenceError, meijer_g_1443, meijer_g_2012
 from .pep import (ErrorEvent, PepValue, build_event, pep_clt,
                   pep_conditional, pep_general, pep_m1, pep_quadrature)
@@ -25,8 +25,8 @@ __all__ = [
     "__version__",
     "SnrGrid", "SystemConfig", "default_config", "load_scenario",
     "Moments", "analytic_moments", "empirical_moments",
-    "CltParams", "FittingError", "GParams", "clt_params", "fit_gparams",
-    "pdf_clt", "pdf_double_rayleigh", "pdf_g",
+    "FittingError", "GParams", "fit_gparams", "pdf_clt",
+    "pdf_double_rayleigh", "pdf_g",
     "ConvergenceError", "meijer_g_1443", "meijer_g_2012",
     "ErrorEvent", "PepValue", "build_event", "pep_clt", "pep_conditional",
     "pep_general", "pep_m1", "pep_quadrature",

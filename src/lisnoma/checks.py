@@ -27,9 +27,9 @@ from .asymptotics import _normalized_probe, analytic_diversity, diversity_order
 from .channel import simulate_ber, simulate_pep
 from .config import SystemConfig, default_config
 from .moments import analytic_moments, empirical_moments, _mu3_listed, _mu4_listed
-from .pdf_approx import (clt_params, density_cdf_table, fit_gparams,
-                         ks_distance, ks_statistic, pdf_double_rayleigh,
-                         pdf_g, quadrature_domain)
+from .pdf_approx import (density_cdf_table, fit_gparams, ks_distance,
+                         ks_statistic, pdf_double_rayleigh, pdf_g,
+                         quadrature_domain)
 from .pep import build_event, pep_clt, pep_general, pep_m1, pep_quadrature
 from .union_bound import union_bound_curve
 
@@ -181,9 +181,9 @@ def check_density_fit(quick: bool = False):
     if quick:
         return
     M = 15
-    cp = clt_params(M, sigma2)
+    mom = analytic_moments(M, sigma2)
     sample = np.sort(sample_sums(M, sigma2, samples, 404, SMALL_CHUNK))
-    z = (sample - cp.mu_bar) / math.sqrt(cp.sigma_bar2)
+    z = (sample - mom.mu1) / math.sqrt(mom.variance)
     ks = ks_distance(sp.ndtr(z))
     # the residual skew of a 15-term sum is above the threshold; real gap,
     # not sampling noise (noise scale here is ~3e-4). The first Edgeworth
@@ -253,7 +253,7 @@ def check_bound_dominance(quick: bool = False):
     cf = {}          # (form, M, snr) -> closed-form value
     for M in ms:
         cfg = default_config(M=M)
-        ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+        ev = _canonical_events(cfg)[0]
         for s in grid:
             est = mc[M, s] = simulate_pep(cfg, 1, interference=ev, snr_db=s,
                                           trials=trials, seed=551,
@@ -458,9 +458,7 @@ def check_adjudication(quick: bool = False):
     M = 15
     cfg = default_config(M=M)
     worst = {"scaled": 0.0, "unscaled": 0.0}
-    for user in (1, 2):
-        ev = build_event(cfg, user, (1.0, 1.0), -1.0,
-                         sic_errors=(0.0,) if user == 2 else None)
+    for user, ev in enumerate(_canonical_events(cfg), start=1):
         unit = _normalized_probe(cfg, user)
         for s in (0.0, 10.0, 20.0, 30.0):
             sc = pep_clt(cfg, user, ev, snr_db=s)

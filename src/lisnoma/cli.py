@@ -29,9 +29,9 @@ from .asymptotics import analytic_diversity, diversity_order
 from .channel import sample_cascade, simulate_ber, simulate_pep
 from .config import SnrGrid, SystemConfig, default_config, load_scenario
 from .moments import MIN_SAMPLES, analytic_moments, empirical_moments
-from .pdf_approx import (FittingError, clt_params, fit_gparams, pdf_clt,
-                         pdf_double_rayleigh, pdf_g)
-from .pep import build_event, pep_clt, pep_general, pep_m1, pep_quadrature
+from .pdf_approx import FittingError, fit_gparams
+from .pep import (_density, build_event, pep_clt, pep_general, pep_m1,
+                  pep_quadrature)
 from .specfun import ConvergenceError
 from .union_bound import enumerate_events, union_bound_curve
 
@@ -240,13 +240,7 @@ def _cmd_pdf(args, parser) -> int:
                      user=args.user, samples=args.samples)
     man = _manifest(args, overrides)
 
-    if args.model == "g":
-        vals = np.maximum(pdf_g(xs, fit_gparams(cfg.M, cfg.sigma2), D), 0.0)
-    elif args.model == "dr":
-        vals = pdf_double_rayleigh(xs, cfg.sigma2, D)
-    elif args.model == "clt":
-        vals = pdf_clt(xs, clt_params(cfg.M, cfg.sigma2), D)
-    else:
+    if args.model == "mc":
         batch = sample_cascade(cfg, args.user or 1, args.samples,
                                seed=_resolve_seed(args))
         draws = batch.q if args.user else batch.s
@@ -254,6 +248,9 @@ def _cmd_pdf(args, parser) -> int:
                                    range=(float(xs[0]), float(xs[-1])),
                                    density=True)
         xs = (edges[:-1] + edges[1:]) / 2.0
+    else:
+        # the fitted density dips below 0 near the origin at M <= 3
+        vals = np.maximum(_density(args.model, cfg, D)(xs), 0.0)
     rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
     _emit(_csv(man, "q,density", rows,
                comments=(f"model: {args.model}", f"D: {_fmt(D)}")),

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special as sp
 
 from ._util import match_scalar
-from .moments import analytic_moments
+from .moments import Moments, analytic_moments
 from .specfun import meijer_g_2012
 
 _NEG_TOL = 1e-12
@@ -180,32 +180,16 @@ def pdf_double_rayleigh(x, sigma2: float, D: float = 1.0):
     return match_scalar(x, out)
 
 
-@dataclass(frozen=True)
-class CltParams:
-    """Gaussian limit parameters for the unscaled sum S.
+def pdf_clt(x, moments: Moments, D: float = 1.0):
+    """Gaussian density of q = S / sqrt(D), vectorized over x.
 
-    The mean equals the first analytic moment exactly and the variance is
-    the exact second central moment, so the model is moment-consistent at
-    every sigma2.
+    The mean and variance are those of ``moments``, the exact first and
+    second central moments of S from ``analytic_moments``, so the model
+    is moment-consistent at every sigma2.
     """
-
-    M: int
-    sigma2: float
-    mu_bar: float
-    sigma_bar2: float
-
-
-def clt_params(M: int, sigma2: float) -> CltParams:
-    mom = analytic_moments(M, sigma2)
-    return CltParams(M=int(M), sigma2=float(sigma2),
-                     mu_bar=mom.mu1, sigma_bar2=mom.variance)
-
-
-def pdf_clt(x, params: CltParams, D: float = 1.0):
-    """Gaussian density of q = S / sqrt(D), vectorized over x."""
     x_arr, rd = _gains(x, D)
-    sd = math.sqrt(params.sigma_bar2)
-    t = (x_arr * rd - params.mu_bar) / sd
+    sd = math.sqrt(moments.variance)
+    t = (x_arr * rd - moments.mu1) / sd
     out = rd / (sd * math.sqrt(2 * math.pi)) * np.exp(-0.5 * t * t)
     return match_scalar(x, out)
 

@@ -32,8 +32,9 @@ from scipy import special as sp
 
 from ._util import gauss_legendre_panels
 from .config import SystemConfig
-from .pdf_approx import (GParams, clt_params, fit_gparams, pdf_clt,
-                         pdf_double_rayleigh, pdf_g, quadrature_domain)
+from .moments import analytic_moments
+from .pdf_approx import (GParams, fit_gparams, pdf_clt, pdf_double_rayleigh,
+                         pdf_g, quadrature_domain)
 from .specfun import meijer_g_1443_log
 
 _LN2 = math.log(2.0)
@@ -251,8 +252,8 @@ def pep_clt(config: SystemConfig, user: int, event: ErrorEvent,
     N0 = _resolve_n0(snr_db)
     lam2 = 2.0 * N0 * event.delta_bar ** 2
     D = _distance_factor(config, user, event)
-    cp = clt_params(config.M, config.sigma2)
-    mu, var = cp.mu_bar, cp.sigma_bar2
+    mom = analytic_moments(config.M, config.sigma2)
+    mu, var = mom.mu1, mom.variance
     th2 = event.vartheta ** 2
 
     xi = (th2 * var + D * lam2) / (2.0 * var * lam2)
@@ -271,9 +272,8 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
                    kernel: str = "chernoff", abs_tol: float = 1e-10) -> float:
     """Reference numerical average of the conditional probability.
 
-    This is the referee for every closed form. ``pdf_model`` selects the
-    density of the scaled gain: the fitted ``g``, the exact single-element
-    ``dr`` (M = 1 only) or the Gaussian ``clt``. Integration runs over the
+    This is the referee for every closed form. ``pdf_model`` names the
+    density of the scaled gain (see ``_density``). Integration runs over the
     half line [0, hi] with hi leaving under 1e-9 of mass outside, on a mesh
     graded geometrically toward 0, where the M <= 3 fitted density
     oscillates log-periodically. Raises ConvergenceError if the mesh reaches its
@@ -286,27 +286,35 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     N0 = _resolve_n0(snr_db)
     D = _distance_factor(config, user, event)
 
-    # partial looks each density up here, so a replaced module attribute
-    # (a tracing wrapper, say) is the one that runs
-    if pdf_model == "g":
-        density = partial(pdf_g, params=fit_gparams(config.M, config.sigma2),
-                          D=D)
-    elif pdf_model == "dr":
-        if config.M != 1:
-            raise ValueError("the exact single-element density needs M = 1")
-        density = partial(pdf_double_rayleigh, sigma2=config.sigma2, D=D)
-    elif pdf_model == "clt":
-        density = partial(pdf_clt, params=clt_params(config.M, config.sigma2),
-                          D=D)
-    else:
-        raise ValueError("unknown pdf model")
-
+    density = _density(pdf_model, config, D)
     hi = quadrature_domain(config.M, config.sigma2, D)
     exact = kernel == "exact"
     key = (pdf_model, config.M, config.sigma2, D)
     return gauss_legendre_panels(
         lambda x: (pep_conditional(x, event, N0, exact)
                    * _tabulated(key, density, x)), 0.0, hi, abs_tol=abs_tol)
+
+
+def _density(model: str, config: SystemConfig, D: float):
+    """Density of the scaled gain for a model name, at distance factor D.
+
+    The one table of names that ``pep_quadrature`` and ``lisnoma pdf``
+    share: the fitted ``g``, the exact ``dr`` (M = 1 only), the Gaussian
+    ``clt``.
+    """
+    # partial looks each density up here, so a replaced module attribute
+    # (a tracing wrapper, say) is the one that runs
+    if model == "g":
+        return partial(pdf_g, params=fit_gparams(config.M, config.sigma2),
+                       D=D)
+    if model == "dr":
+        if config.M != 1:
+            raise ValueError("the exact single-element density needs M = 1")
+        return partial(pdf_double_rayleigh, sigma2=config.sigma2, D=D)
+    if model == "clt":
+        return partial(pdf_clt,
+                       moments=analytic_moments(config.M, config.sigma2), D=D)
+    raise ValueError("unknown pdf model")
 
 
 def _tabulated(key, density, x):

@@ -490,21 +490,15 @@ def _offsets_1443(a3, a4, a5):
 
 
 def meijer_g_1443_log(zeta, a3, a4, a5):
-    """Log-space evaluation of the Chernoff kernel, (log_abs, sign, spec).
+    """Log-space evaluation of the Chernoff kernel on a 1-D ``zeta`` array.
 
-    ``zeta`` may be a scalar or an array. For a scalar the result is two
-    floats and the MellinBarnesSpec of its band; for an array it is two
-    arrays shaped like ``zeta`` and a tuple of one spec per band. The
+    Returns ``_contour_log``'s (log_abs, sign, specs): two arrays shaped
+    like ``zeta`` and one MellinBarnesSpec per argument band. The
     contour's relative tolerance is 1e-9.
     """
     plus, minus, den_minus = _offsets_1443(a3, a4, a5)
-    log_abs, sign, specs = _contour_log(
-        np.ravel(np.asarray(zeta, dtype=float)), plus=plus, minus=minus,
-        den_minus=den_minus, rtol=1e-9)
-    if np.ndim(zeta) == 0:
-        return float(log_abs[0]), float(sign[0]), specs[0]
-    shape = np.shape(zeta)
-    return log_abs.reshape(shape), sign.reshape(shape), specs
+    return _contour_log(zeta, plus=plus, minus=minus, den_minus=den_minus,
+                        rtol=1e-9)
 
 
 def meijer_g_1443(zeta, a3, a4, a5):
@@ -514,5 +508,6 @@ def meijer_g_1443(zeta, a3, a4, a5):
     quadrature, each band's line anchored near its saddle, with node
     doubling until the relative change drops below 1e-9.
     """
-    log_abs, sign, _ = meijer_g_1443_log(zeta, a3, a4, a5)
-    return match_scalar(zeta, sign * np.exp(log_abs))
+    log_abs, sign, _ = meijer_g_1443_log(
+        np.ravel(np.asarray(zeta, dtype=float)), a3, a4, a5)
+    return match_scalar(zeta, (sign * np.exp(log_abs)).reshape(np.shape(zeta)))

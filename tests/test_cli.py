@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lisnoma import checks, cli
+from lisnoma import checks, cli, default_config, pep
 
 
 def run(capsys, *argv):
@@ -128,6 +128,23 @@ def test_pdf_grid_validation(capsys):
             code, out, err = run(capsys, "pdf", "--M", "1", "--model", model,
                                  "--grid", grid, "--samples", "1000")
             assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("user", [None, 2])
+@pytest.mark.parametrize("model,M", [("g", 3), ("dr", 1), ("clt", 15)])
+def test_pdf_rows_are_the_referees_densities(capsys, model, M, user):
+    # `lisnoma pdf` prints the densities the quadrature referee averages
+    # over, from the same name table; only the fitted one needs its clamp
+    argv = ("pdf", "--M", str(M), "--model", model, "--grid", "0:12:25")
+    code, out, _ = run(capsys, *argv, *(("--user", str(user)) if user else ()))
+    assert code == 0
+    cfg = default_config(M=M)
+    D = cfg.distance_factor(user) if user else 1.0
+    xs = np.linspace(0.0, 12.0, 25)
+    want = np.maximum(pep._density(model, cfg, D)(xs), 0.0)
+    assert csv_rows(out)[1] == [["%.12g" % x, "%.12g" % v]
+                                for x, v in zip(xs, want)]
+    assert f"# D: {'%.12g' % D}" in out
 
 
 def test_pdf_sampled_model_scales_with_user_distance(capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.integrate import quad
 
-from lisnoma import (analytic_moments, clt_params, fit_gparams, pdf_clt,
+from lisnoma import (analytic_moments, fit_gparams, pdf_clt,
                      pdf_double_rayleigh, pdf_g)
 from lisnoma.pdf_approx import (FittingError, density_cdf_table, ks_distance,
                                 ks_statistic, quadrature_domain)
@@ -133,14 +133,14 @@ def test_single_element_density_closed_form():
 
 
 def test_gaussian_limit_parameters():
-    cp = clt_params(3, 0.5)
-    assert cp.mu_bar == pytest.approx(3.0 * math.pi / 4.0, rel=1e-14)
-    assert cp.sigma_bar2 == pytest.approx(0.75 * (4.0 - math.pi ** 2 / 4.0),
-                                          rel=1e-12)
+    mom = analytic_moments(3, 0.5)
+    assert mom.mu1 == pytest.approx(3.0 * math.pi / 4.0, rel=1e-14)
+    assert mom.variance == pytest.approx(0.75 * (4.0 - math.pi ** 2 / 4.0),
+                                         rel=1e-12)
     xs = np.linspace(0.0, 8.0, 100)
-    want = (np.exp(-(xs - cp.mu_bar) ** 2 / (2 * cp.sigma_bar2))
-            / math.sqrt(2 * math.pi * cp.sigma_bar2))
-    np.testing.assert_allclose(pdf_clt(xs, cp), want, rtol=1e-12)
+    want = (np.exp(-(xs - mom.mu1) ** 2 / (2 * mom.variance))
+            / math.sqrt(2 * math.pi * mom.variance))
+    np.testing.assert_allclose(pdf_clt(xs, mom), want, rtol=1e-12)
 
 
 def test_shape_parameters_are_scale_invariant():
@@ -183,7 +183,7 @@ def test_densities_reject_negative_gains():
     # of giving a silent 0, nan or inf
     densities = (partial(pdf_g, params=fit_gparams(3, 0.5)),
                  partial(pdf_double_rayleigh, sigma2=0.5),
-                 partial(pdf_clt, params=clt_params(3, 0.5)))
+                 partial(pdf_clt, moments=analytic_moments(3, 0.5)))
     for density in densities:
         for bad in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="x >= 0"):
@@ -193,7 +193,7 @@ def test_densities_reject_negative_gains():
         for D in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="distance factor"):
                 density(0.5, D=D)
-    assert pdf_clt(0.0, clt_params(3, 0.5)) > 0.0
+    assert pdf_clt(0.0, analytic_moments(3, 0.5)) > 0.0
 
 
 def test_the_fit_is_solved_once_per_scenario():

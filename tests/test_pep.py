@@ -200,10 +200,14 @@ def test_gaussian_limit_flags_small_element_counts(cfg6):
 
 
 def test_method_restrictions(cfg, event_u1):
+    assert cfg.M == 3
     with pytest.raises(ValueError):
         pep_m1(cfg, 1, event_u1, snr_db=10.0)   # needs M = 1
-    with pytest.raises(ValueError):
+    # the referee reads the density name table that `lisnoma pdf` reads
+    with pytest.raises(ValueError, match="needs M = 1"):
         pep_quadrature(cfg, 1, event_u1, snr_db=10.0, pdf_model="dr")
+    with pytest.raises(ValueError, match="unknown pdf model"):
+        pep_quadrature(cfg, 1, event_u1, snr_db=10.0, pdf_model="exact")
 
 
 # every form that takes a user and its event, with the element count of

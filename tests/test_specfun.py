@@ -194,6 +194,20 @@ def test_kernel_input_validation():
     assert out.shape == (2, 2)
 
 
+def test_chernoff_kernel_keeps_the_shape_of_its_argument():
+    # the log form takes 1-D arrays only; meijer_g_1443 ravels an N-D
+    # argument on the way in and restores its shape on the way out
+    a3, a4, a5 = M3_PARAMS
+    zeta = np.array([[0.05, 0.37, 2.0], [9.0, 40.0, 300.0]])
+    flat = meijer_g_1443(zeta.ravel(), a3, a4, a5)
+    out = meijer_g_1443(zeta, a3, a4, a5)
+    assert out.shape == (2, 3)
+    assert out.ravel().tolist() == flat.tolist()
+    one = meijer_g_1443(0.37, a3, a4, a5)
+    assert type(one) is float
+    assert one == meijer_g_1443(np.array([0.37]), a3, a4, a5)[0]
+
+
 def test_averaging_transform_abscissa_independence():
     # the contour value must not depend on where the line is anchored
     a3, a4, a5 = M3_PARAMS
