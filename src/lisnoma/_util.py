@@ -6,6 +6,8 @@ from __future__ import annotations
 import copy
 import math
 import os
+import queue
+import threading
 from collections import deque
 from functools import lru_cache
 from itertools import islice
@@ -58,6 +60,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# the pool a lone substream lends to element_blocks, while it runs in the
+# calling thread (see substreams)
+_LONE = threading.local()
+
+
 @lru_cache(maxsize=None)
 def _pool(workers: int, pid: int):
     # keyed on the process id, so a forked child starts its own threads;
@@ -71,20 +78,33 @@ def substreams(fn, keys):
 
     The calls run on a shared pool of one thread per CPU, at most two per
     thread ahead of the consumer; with one CPU or one key they run in the
-    calling thread. numpy releases the GIL while it draws and computes on
-    arrays, so the threads run at once. ``fn`` allocates its own scratch
-    and must write nothing another substream reads or writes. Results
-    wait until the consumer takes them, so each result held ahead costs
-    its size: the plain callers fold ``element_blocks`` block by block
-    and return at most one chunk-length array. Callers fold the results
-    in key order, which makes every output independent of the CPU count.
+    calling thread. A lone key there lends an idle CPU to its sampler:
+    while it runs, ``element_blocks`` borrows one pool worker for the
+    arithmetic of each block. numpy releases the GIL while it draws and
+    computes on arrays, so the threads run at once. ``fn`` allocates its
+    own scratch and must write nothing another substream reads or
+    writes. Results wait until the consumer takes them, so each result
+    held ahead costs its size: the plain callers fold ``element_blocks``
+    block by block and return at most one chunk-length array. Callers
+    fold the results in key order, which makes every output independent
+    of the CPU count.
     """
     keys = list(keys)
     workers = _cpu_count()
-    if workers == 1 or len(keys) == 1:
+    if workers == 1:
         yield from map(fn, keys)
         return
     pool = _pool(workers, os.getpid())
+    if len(keys) == 1:
+        # only the calling thread lends: a pool worker never waits on
+        # another pool task
+        _LONE.pool = pool
+        try:
+            result = fn(keys[0])
+        finally:
+            _LONE.pool = None
+        yield result
+        return
     todo = iter(keys)
     pending = deque(pool.submit(fn, k) for k in islice(todo, 2 * workers))
     while pending:
@@ -93,12 +113,33 @@ def substreams(fn, keys):
         yield result
 
 
-def _rayleigh(rng: np.random.Generator, a: np.ndarray, scale: float):
-    """Fill ``a`` in place with Rayleigh(scale) magnitudes, scale sqrt(2 E)."""
-    rng.standard_exponential(out=a)
-    a *= 2.0
-    np.sqrt(a, out=a)
-    a *= scale
+def _finish(h_rng: np.random.Generator, h: np.ndarray, g: np.ndarray,
+            scale: float, out: np.ndarray):
+    """One block of cascade sums: the row sums of h * g into ``out``.
+
+    ``g`` holds the block's raw exponentials of the second hop, and h's
+    are replayed from ``h_rng`` into the front of ``h``. Both become
+    Rayleigh(scale) magnitudes in place, scale sqrt(2 E), which is how
+    ``Generator.rayleigh`` maps its exponentials, and g their product.
+    """
+    h = h[:g.size]
+    h_rng.standard_exponential(out=h)
+    for x in (h, g):
+        x *= 2.0
+        np.sqrt(x, out=x)
+        x *= scale
+    g *= h
+    g.reshape(out.size, -1).sum(axis=1, out=out)
+
+
+def _lend(todo, done, h_rng, h, scale, out):
+    """The borrowed worker: finish each handed block in turn, hand it back."""
+    try:
+        for a, b, g in iter(todo.get, None):
+            _finish(h_rng, h, g, scale, out[a:b])
+            done.put((a, b))
+    finally:
+        done.put(None)          # wakes the caller when a block raised
 
 
 def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
@@ -106,35 +147,67 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
     """Yield ``(a, b, out[a:b])`` as each block of cascade sums is drawn.
 
     The sums are n draws of the row sums of h * g over M elements. h and
-    g are (n, M) Rayleigh(scale) magnitudes, each scale sqrt(2 E) from
-    ``standard_exponential``, which is how ``Generator.rayleigh`` maps
-    its exponentials: h from the stream's first n M exponentials, g from
-    the next n M. A copy of the generator replays h while ``rng``, once
-    it has drawn past h into a discarded block, draws g; both go one
-    block of ``_BLOCK`` rows at a time into one of two blocks that the
-    call allocates for itself, are transformed while in cache,
-    multiplied and summed by row into ``out[a:b]``, rows a to b of the
-    n-float ``out``. The caller may fold or overwrite that slice before
-    it asks for the next block. When the loop ends, the sums and the
-    generator's state equal those of two ``rng.rayleigh(scale, (n, M))``
-    draws bit for bit, with two blocks in memory at any n: the price is
-    drawing h's exponentials twice. Each substream runs it in one thread
-    with its own generator, so the sums do not depend on the CPU count.
+    g are (n, M) Rayleigh(scale) magnitudes: h from the stream's first
+    n M exponentials, g from the next n M. ``rng`` walks the stream, one
+    discarded pass over h's positions and then g one block of ``_BLOCK``
+    rows at a time, each into a slot of a ring; a copy of the generator
+    replays h, and ``_finish`` transforms both hops while in cache,
+    multiplies them and sums each row into ``out[a:b]``, rows a to b of
+    the n-float ``out``. Blocks come back in order, and the caller may
+    fold or overwrite its slice before it asks for the next block. When
+    the loop ends, the sums and the generator's state equal those of two
+    ``rng.rayleigh(scale, (n, M))`` draws bit for bit: the price is
+    drawing h's exponentials twice.
+
+    In a lone substream of ``substreams`` with more than one CPU, one
+    pool worker finishes the blocks while this thread walks ``rng`` up to
+    four slots ahead, and the consumer still runs here; the worker is
+    stopped and joined when the loop ends, is closed or raises.
+    Elsewhere, in pool workers or with one CPU, this thread finishes each
+    block itself from a one-slot ring. Either way the same operations
+    run in the same order on each generator, so the sums do not depend
+    on the CPU count; the call holds at most five blocks of M floats.
     """
     size = min(n, _BLOCK) * M
-    h_block, g_block = np.empty((2, size))
+    starts = range(0, n, _BLOCK)
+    pool = getattr(_LONE, "pool", None)
+    ring = np.empty((1 if pool is None else min(4, len(starts)), size))
+    h = np.empty(size)
     h_rng = copy.deepcopy(rng)
     for a in range(0, n * M, size):
-        rng.standard_exponential(out=g_block[:min(size, n * M - a)])
-    for a in range(0, n, _BLOCK):
-        b = min(n, a + _BLOCK)
-        h = h_block[:(b - a) * M].reshape(b - a, M)
-        g = g_block[:(b - a) * M].reshape(b - a, M)
-        _rayleigh(h_rng, h, scale)
-        _rayleigh(rng, g, scale)
-        g *= h
-        g.sum(axis=1, out=out[a:b])
-        yield a, b, out[a:b]
+        rng.standard_exponential(out=ring[0, :min(size, n * M - a)])
+    done = queue.SimpleQueue()
+    if pool is None:
+        def hand(block):
+            a, b, g = block
+            _finish(h_rng, h, g, scale, out[a:b])
+            done.put((a, b))
+    else:
+        todo = queue.SimpleQueue()
+        task = pool.submit(_lend, todo, done, h_rng, h, scale, out)
+        hand = todo.put
+
+    def handed_back():
+        block = done.get()
+        if block is None:
+            task.result()       # raises what the worker raised
+        a, b = block
+        return a, b, out[a:b]
+
+    try:
+        for i, a in enumerate(starts):
+            if i >= len(ring):
+                yield handed_back()
+            b = min(n, a + _BLOCK)
+            g = ring[i % len(ring), :(b - a) * M]
+            rng.standard_exponential(out=g)
+            hand((a, b, g))
+        for _ in ring:
+            yield handed_back()
+    finally:
+        if pool is not None:
+            todo.put(None)
+            task.exception()    # joins the worker
 
 
 def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
@@ -156,7 +229,7 @@ def sample_sums(M: int, sigma2: float, count: int, seed: int,
 
     The chunks fill their own slices of the result on the substream pool,
     so the sums do not depend on the CPU count. Beside the result, each
-    running substream holds only `element_sums`' two blocks.
+    running substream holds only `element_blocks`' scratch.
     """
     scale = math.sqrt(sigma2)
     s = np.empty(count)

@@ -9,15 +9,18 @@ their partial sums in substream order. So identical inputs give
 bit-identical outputs no matter how the work is batched or how many CPUs
 run it. Plain sampling draws through `_util.element_blocks`, which
 replays the first hop from a copy of the generator beside the second, so
-a substream allocates two blocks of element magnitudes for itself, not a
-whole hop; no scratch passes between substreams. Its consumers fold one
-block of rows at a time and keep one chunk-length array each: plain
-`simulate_pep` its conditional values, which it computes block by block
-in the substream, and `simulate_ber` the gains q, beside one
-small-integer symbol index per frame and user; the link's symbols, noise
-and SIC decisions go block by block. Tilted `simulate_pep` draws each
-chunk's uniforms into a (3, M, rows) array of the substream's own and
-runs the conditional kernel in the calling thread, one chunk at a time.
+a substream allocates a few blocks of element magnitudes for itself, not
+a whole hop; no scratch passes between substreams. A lone substream,
+such as a plain `simulate_pep` point of up to one chunk, runs in the
+calling thread and lends one pool worker the blocks' arithmetic while
+it walks the generator. Its consumers fold one block of rows at a time,
+in the substream's thread, and keep one chunk-length array each: plain
+`simulate_pep` its conditional values, which it computes block by block,
+and `simulate_ber` the gains q, beside one small-integer symbol index
+per frame and user; the link's symbols, noise and SIC decisions go
+block by block. Tilted `simulate_pep` draws each chunk's uniforms into a
+(3, M, rows) array of the substream's own and runs the conditional
+kernel in the calling thread, one chunk at a time.
 """
 
 from __future__ import annotations

@@ -249,12 +249,19 @@ def _cmd_pdf(args, parser) -> int:
                                    density=True)
         xs = (edges[:-1] + edges[1:]) / 2.0
     else:
-        # the fitted density dips below 0 near the origin at M <= 3
-        vals = np.maximum(_density(args.model, cfg, D)(xs), 0.0)
+        try:
+            vals = _density(args.model, cfg, D)(xs)
+        except ValueError as exc:
+            parser.error(str(exc))
+    # the fitted density dips below 0 near the origin at M <= 3; the rows
+    # print 0 there, and a comment counts them
+    clipped = int(np.count_nonzero(vals < 0.0))
+    vals = np.maximum(vals, 0.0)
     rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
-    _emit(_csv(man, "q,density", rows,
-               comments=(f"model: {args.model}", f"D: {_fmt(D)}")),
-          args.out)
+    comments = (f"model: {args.model}", f"D: {_fmt(D)}")
+    if clipped:
+        comments += (f"clipped: {clipped}",)
+    _emit(_csv(man, "q,density", rows, comments=comments), args.out)
     return 0
 
 

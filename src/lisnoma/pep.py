@@ -277,7 +277,8 @@ def pep_quadrature(config: SystemConfig, user: int, event: ErrorEvent,
     half line [0, hi] with hi leaving under 1e-9 of mass outside, on a mesh
     graded geometrically toward 0, where the M <= 3 fitted density
     oscillates log-periodically. Raises ConvergenceError if the mesh reaches its
-    panel cap before meeting ``abs_tol``. The density on each mesh is kept
+    panel cap before meeting ``abs_tol``, and ValueError on the first mesh
+    where the density is not finite. The density on each mesh is kept
     for later calls on the same density (see ``_tabulated``), so a sweep
     over SNR points or events evaluates it once per mesh.
     """
@@ -300,21 +301,35 @@ def _density(model: str, config: SystemConfig, D: float):
 
     The one table of names that ``pep_quadrature`` and ``lisnoma pdf``
     share: the fitted ``g``, the exact ``dr`` (M = 1 only), the Gaussian
-    ``clt``.
+    ``clt``. The callable raises ValueError when any value it would
+    return is not finite, as the fitted density's is at M = 128.
     """
     # partial looks each density up here, so a replaced module attribute
     # (a tracing wrapper, say) is the one that runs
     if model == "g":
-        return partial(pdf_g, params=fit_gparams(config.M, config.sigma2),
-                       D=D)
-    if model == "dr":
+        label = "fitted"
+        f = partial(pdf_g, params=fit_gparams(config.M, config.sigma2), D=D)
+    elif model == "dr":
         if config.M != 1:
             raise ValueError("the exact single-element density needs M = 1")
-        return partial(pdf_double_rayleigh, sigma2=config.sigma2, D=D)
-    if model == "clt":
-        return partial(pdf_clt,
-                       moments=analytic_moments(config.M, config.sigma2), D=D)
-    raise ValueError("unknown pdf model")
+        label = "exact single-element"
+        f = partial(pdf_double_rayleigh, sigma2=config.sigma2, D=D)
+    elif model == "clt":
+        label = "Gaussian"
+        f = partial(pdf_clt,
+                    moments=analytic_moments(config.M, config.sigma2), D=D)
+    else:
+        raise ValueError("unknown pdf model")
+
+    def density(x):
+        fx = f(x)
+        bad = np.size(fx) - np.count_nonzero(np.isfinite(fx))
+        if bad:
+            raise ValueError(
+                f"the {label} density is not finite at {bad} of "
+                f"{np.size(fx)} points (M = {config.M})")
+        return fx
+    return density
 
 
 def _tabulated(key, density, x):

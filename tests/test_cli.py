@@ -147,6 +147,31 @@ def test_pdf_rows_are_the_referees_densities(capsys, model, M, user):
     assert f"# D: {'%.12g' % D}" in out
 
 
+def test_pdf_counts_the_rows_it_clips(capsys):
+    # the fitted M = 1 density is negative at the ten points past 0 of
+    # this grid; each row prints 0, and one comment counts them
+    code, out, _ = run(capsys, "pdf", "--M", "1", "--model", "g",
+                       "--grid", "0:0.00002:11")
+    assert code == 0
+    xs = np.linspace(0.0, 2e-5, 11)
+    raw = pep._density("g", default_config(M=1), 1.0)(xs)
+    assert np.count_nonzero(raw < 0) == 10
+    assert "# clipped: 10" in out.splitlines()
+    assert [r[1] for r in csv_rows(out)[1]] == ["0"] * 11
+    # no comment where nothing is clipped
+    code, out, _ = run(capsys, "pdf", "--M", "8", "--model", "g",
+                       "--grid", "0:4:9")
+    assert code == 0 and "clipped" not in out
+
+
+def test_pdf_refuses_a_density_that_is_not_finite(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "pdf", "--M", "128", "--model", "g",
+                             "--grid", "0:400:5")
+    assert code == 2 and out == ""
+    assert "fitted density is not finite at 2 of 5 points" in err
+
+
 def test_pdf_sampled_model_scales_with_user_distance(capsys):
     code, out, _ = run(capsys, "pdf", "--M", "3", "--model", "mc",
                        "--grid", "0:2:40", "--user", "1",

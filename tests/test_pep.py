@@ -210,6 +210,24 @@ def test_method_restrictions(cfg, event_u1):
         pep_quadrature(cfg, 1, event_u1, snr_db=10.0, pdf_model="exact")
 
 
+def test_quadrature_stops_at_a_density_that_is_not_finite(monkeypatch):
+    # the fitted density overflows at M = 128; the referee names that on
+    # its first mesh, where it used to double the mesh to the panel cap
+    meshes, density = [], pep.pdf_g
+
+    def counted(x, **kwargs):
+        meshes.append(x.size)
+        return density(x, **kwargs)
+
+    monkeypatch.setattr(pep, "pdf_g", counted)
+    cfg = default_config(M=128)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="fitted density is not finite"):
+            pep_quadrature(cfg, 1, ev, snr_db=10.0)
+    assert len(meshes) == 1
+
+
 # every form that takes a user and its event, with the element count of
 # the scenario it is called on
 _FORMS = {

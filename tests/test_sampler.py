@@ -5,12 +5,18 @@ float64 bytes a path returns for a fixed seed. Every count spans more
 than one substream chunk, so a short final chunk is covered as well,
 and the substreams run on the pool at any CPU count above one. The
 plain consumers fold the sampler's output one block at a time; each is
-checked against a whole-chunk reference.
+checked against a whole-chunk reference, at two CPUs, where a count of
+up to one chunk runs as a lone substream whose sampler borrows a pool
+worker.
 """
 
 import hashlib
 import math
 import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -124,12 +130,15 @@ def test_streams_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
 
 def test_forked_child_starts_its_own_pool(monkeypatch):
     # a child forked after the parent's pool ran inherits its state but
-    # not its threads; reusing that pool would wait forever
+    # not its threads; reusing that pool would wait forever, whether for
+    # three substreams or for the worker that a lone one borrows
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
-    want = sample_sums(3, 0.5, 3000, 1, 1000)
+    args = [(3, 0.5, 3000, 1, 1000), (3, 0.5, 3 * 4096 + 5, 1)]
+    want = [sample_sums(*a) for a in args]
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        got = pool.apply_async(sample_sums, (3, 0.5, 3000, 1, 1000))
-        assert np.array_equal(got.get(timeout=60), want)
+        for a, w in zip(args, want):
+            got = pool.apply_async(sample_sums, a)
+            assert np.array_equal(got.get(timeout=60), w)
 
 
 @pytest.mark.parametrize("M", [1, 3, 15, 64])
@@ -187,6 +196,175 @@ def test_block_loop_yields_the_element_sums_in_order(n):
     assert end == n
     assert np.array_equal(np.concatenate(got), want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# A lone substream with two CPUs: the calling thread walks the generator
+# and one borrowed pool worker finishes each block. The full chunk runs
+# at M <= 3 only, where the reference's two whole draws stay small; nine
+# blocks and a short one cycle the four ring slots at every M.
+
+def _lone(fn):
+    """``fn()`` run as the only key of ``substreams``, in a thread of its
+    own that must end within a minute; a worker the sampler never let go
+    would otherwise hang the next lone call."""
+    ended = []
+
+    def run():
+        try:
+            ended.append((True, next(_util.substreams(lambda key: fn(),
+                                                      [0]))))
+        except BaseException as exc:    # handed to the test's thread
+            ended.append((False, exc))
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "a lone substream did not end"
+    ok, value = ended[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _assert_pool_idle(workers=2):
+    # every worker of the pool must take one of these at once; a worker
+    # still held by a sampler breaks the barrier
+    barrier = threading.Barrier(workers)
+    pool = _util._pool(workers, os.getpid())
+    for task in [pool.submit(barrier.wait, 30) for _ in range(workers)]:
+        task.result(timeout=60)
+
+
+@pytest.mark.parametrize("M, n", [(M, n) for M in (1, 3, 15, 64)
+                                  for n in COUNTS[:-1] + [9 * 4096 + 5]]
+                         + [(1, COUNTS[-1]), (3, COUNTS[-1])])
+def test_lone_substream_sums_equal_two_whole_rayleigh_draws(monkeypatch, M,
+                                                            n):
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    finish, threads = _util._finish, set()
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        finish(*args)
+
+    monkeypatch.setattr(_util, "_finish", spy)
+    want_rng = np.random.default_rng(17)
+    want = (want_rng.rayleigh(0.7, (n, M))
+            * want_rng.rayleigh(0.7, (n, M))).sum(axis=1)
+    rng = np.random.default_rng(17)
+    got = _lone(lambda: _util.element_sums(rng, n, M, 0.7))
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(threads) == 1 and threads.pop().startswith("lisnoma")
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_lone_block_loop_yields_the_sums_in_order(monkeypatch, n):
+    # each block is handed back finished, in order, while the worker may
+    # be writing later rows of the same array
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    want_rng = np.random.default_rng(29)
+    want = _util.element_sums(want_rng, n, 3, 0.7)
+    rng = np.random.default_rng(29)
+    out = np.empty(n)
+
+    def consume():
+        got, end = [], 0
+        for a, b, sums in _util.element_blocks(rng, n, 3, 0.7, out):
+            assert a == end and sums.base is out
+            got.append(sums.copy())
+            sums[:] = -1.0
+            end = b
+        return end, got
+
+    end, got = _lone(consume)
+    assert end == n
+    assert np.array_equal(np.concatenate(got), want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("stop", ["after one block", "by raising"])
+def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
+    # a slow worker still has blocks in hand when the consumer stops, so
+    # a loop that did not join it would see rows written after it ended
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    finish = _util._finish
+
+    def slow(*args):
+        time.sleep(0.01)
+        finish(*args)
+
+    monkeypatch.setattr(_util, "_finish", slow)
+    n = 9 * 4096
+    out = np.full(n, np.nan)
+
+    def consume():
+        for _ in _util.element_blocks(np.random.default_rng(3), n, 3, 0.7,
+                                      out):
+            if stop == "by raising":
+                raise KeyError("consumer")
+            break
+
+    if stop == "by raising":
+        with pytest.raises(KeyError, match="consumer"):
+            _lone(consume)
+    else:
+        _lone(consume)
+    ended = out.copy()
+    time.sleep(0.1)
+    assert np.array_equal(out, ended, equal_nan=True)
+    _assert_pool_idle()
+
+    monkeypatch.setattr(_util, "_finish", finish)
+    want = _util.element_sums(np.random.default_rng(5), n, 3, 0.7)
+    assert np.array_equal(_lone(lambda: _util.element_sums(
+        np.random.default_rng(5), n, 3, 0.7)), want)
+
+
+def test_lone_substreams_of_more_threads_than_workers(monkeypatch):
+    # four calling threads share two pool workers and switch every
+    # microsecond: each waits its turn for a worker and gets its own sums
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    n = 9 * 4096 + 5
+    want = [_util.element_sums(np.random.default_rng(s), n, 3, 0.7)
+            for s in range(4)]
+    got = [None] * 4
+
+    def call(s):
+        got[s] = next(_util.substreams(lambda key: _util.element_sums(
+            np.random.default_rng(s), n, 3, 0.7), [0]))
+
+    callers = [threading.Thread(target=call, args=(s,), daemon=True)
+               for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_lone_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    finish, calls = _util._finish, []
+
+    def fail_third(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 3:
+            raise FloatingPointError("worker")
+        finish(*args)
+
+    monkeypatch.setattr(_util, "_finish", fail_third)
+    with pytest.raises(FloatingPointError, match="worker"):
+        _lone(lambda: _util.element_sums(np.random.default_rng(7),
+                                         9 * 4096, 3, 0.7))
+    assert calls[-1].startswith("lisnoma")
+    _assert_pool_idle()
 
 
 # Whole-chunk references: the consumers as they were written before they
@@ -262,7 +440,8 @@ def _moments_reference(M, sigma2, samples, seed):
 
 
 @pytest.mark.parametrize("n", COUNTS)
-def test_plain_pep_equals_its_whole_chunk_reference(n):
+def test_plain_pep_equals_its_whole_chunk_reference(monkeypatch, n):
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
     cfg = default_config(M=3)
     ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
     est = simulate_pep(cfg, 1, interference=ev, snr_db=5.0, trials=n,
@@ -272,7 +451,8 @@ def test_plain_pep_equals_its_whole_chunk_reference(n):
 
 
 @pytest.mark.parametrize("n", COUNTS)
-def test_link_simulation_equals_its_whole_chunk_reference(n):
+def test_link_simulation_equals_its_whole_chunk_reference(monkeypatch, n):
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
     got = simulate_ber(L3, (10.0, 20.0), frames=n, seed=37)
     assert [list(c.errors) for c in got.values()] == _ber_reference(
         L3, (10.0, 20.0), n, 37)
@@ -282,7 +462,8 @@ def test_link_simulation_equals_its_whole_chunk_reference(n):
 # jackknife block, a chunk ending in a short block, and blocks wider than
 # numpy's 8,192-element reduction buffer
 @pytest.mark.parametrize("n", [10_000, SMALL_CHUNK + 333, CHUNK + 333])
-def test_sampled_moments_equal_their_whole_chunk_reference(n):
+def test_sampled_moments_equal_their_whole_chunk_reference(monkeypatch, n):
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
     got = empirical_moments(2, 0.5, samples=n, seed=41)
     assert (got.mu, got.se) == _moments_reference(2, 0.5, n, 41)
 
@@ -315,6 +496,13 @@ def test_consumers_hold_one_chunk_array(monkeypatch, run, n, bound):
     # whole-chunk folds peaked at about 11, 6 and 3 such arrays
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
     assert _traced_peak(lambda: run(n)) <= bound * n * 8
+
+
+def test_lone_plain_pep_holds_one_chunk_array_beside_the_ring(monkeypatch):
+    # at two CPUs the lone plain substream keeps four ring slots and the
+    # replay block, three blocks more than at one CPU: 1.5 MB at M = 15
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    assert _traced_peak(lambda: _plain_pep(CHUNK)) <= 1.35 * CHUNK * 8
 
 
 def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
