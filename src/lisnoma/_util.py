@@ -21,6 +21,10 @@ CHUNK = 1 << 20
 SMALL_CHUNK = 1 << 18
 # rows of each hop that element_sums draws at a time
 _BLOCK = 1 << 12
+# summands of the longest run that PairwiseSum hands to np.sum: above
+# numpy's 128-summand leaves, and one block, so that a chunk of 2^20 rows
+# needs no buffer
+_SEGMENT = _BLOCK
 _ORDER = 48                 # graded rule: Gauss-Legendre points per panel,
 _MAX_PANELS = 4096          # ... and its panel cap
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile (Wilson interval)
@@ -85,9 +89,10 @@ def substreams(fn, keys):
     own scratch and must write nothing another substream reads or
     writes. Results wait until the consumer takes them, so each result
     held ahead costs its size: the plain callers fold ``element_blocks``
-    block by block and return at most one chunk-length array. Callers
-    fold the results in key order, which makes every output independent
-    of the CPU count.
+    block by block and return a few numbers at most, and a tilted
+    ``simulate_pep`` substream returns two arrays as long as its chunk.
+    Callers fold the results in key order, which makes every output
+    independent of the CPU count.
     """
     keys = list(keys)
     workers = _cpu_count()
@@ -132,19 +137,19 @@ def _finish(h_rng: np.random.Generator, h: np.ndarray, g: np.ndarray,
     g.reshape(out.size, -1).sum(axis=1, out=out)
 
 
-def _lend(todo, done, h_rng, h, scale, out):
+def _lend(todo, done, h_rng, h, scale):
     """The borrowed worker: finish each handed block in turn, hand it back."""
     try:
-        for a, b, g in iter(todo.get, None):
-            _finish(h_rng, h, g, scale, out[a:b])
-            done.put((a, b))
+        for a, b, g, sums in iter(todo.get, None):
+            _finish(h_rng, h, g, scale, sums)
+            done.put((a, b, sums))
     finally:
         done.put(None)          # wakes the caller when a block raised
 
 
 def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
-                   out: np.ndarray):
-    """Yield ``(a, b, out[a:b])`` as each block of cascade sums is drawn.
+                   out: np.ndarray | None = None):
+    """Yield ``(a, b, sums)`` as each block of cascade sums is drawn.
 
     The sums are n draws of the row sums of h * g over M elements. h and
     g are (n, M) Rayleigh(scale) magnitudes: h from the stream's first
@@ -152,10 +157,12 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
     discarded pass over h's positions and then g one block of ``_BLOCK``
     rows at a time, each into a slot of a ring; a copy of the generator
     replays h, and ``_finish`` transforms both hops while in cache,
-    multiplies them and sums each row into ``out[a:b]``, rows a to b of
-    the n-float ``out``. Blocks come back in order, and the caller may
-    fold or overwrite its slice before it asks for the next block. When
-    the loop ends, the sums and the generator's state equal those of two
+    multiplies them and sums each row into ``sums``, rows a to b. With
+    an n-float ``out``, ``sums`` is ``out[a:b]``; without one, it is the
+    output slot paired with the block's ring slot. Blocks come back in
+    order, and ``sums`` stays valid, for the caller to fold or
+    overwrite, until it asks for the next block. When the loop ends, the
+    sums and the generator's state equal those of two
     ``rng.rayleigh(scale, (n, M))`` draws bit for bit: the price is
     drawing h's exponentials twice.
 
@@ -166,12 +173,14 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
     Elsewhere, in pool workers or with one CPU, this thread finishes each
     block itself from a one-slot ring. Either way the same operations
     run in the same order on each generator, so the sums do not depend
-    on the CPU count; the call holds at most five blocks of M floats.
+    on the CPU count; the call holds at most five blocks of M floats
+    and, without ``out``, four blocks of sums.
     """
     size = min(n, _BLOCK) * M
     starts = range(0, n, _BLOCK)
     pool = getattr(_LONE, "pool", None)
     ring = np.empty((1 if pool is None else min(4, len(starts)), size))
+    slots = np.empty((len(ring), min(n, _BLOCK))) if out is None else None
     h = np.empty(size)
     h_rng = copy.deepcopy(rng)
     for a in range(0, n * M, size):
@@ -179,29 +188,29 @@ def element_blocks(rng: np.random.Generator, n: int, M: int, scale: float,
     done = queue.SimpleQueue()
     if pool is None:
         def hand(block):
-            a, b, g = block
-            _finish(h_rng, h, g, scale, out[a:b])
-            done.put((a, b))
+            a, b, g, sums = block
+            _finish(h_rng, h, g, scale, sums)
+            done.put((a, b, sums))
     else:
         todo = queue.SimpleQueue()
-        task = pool.submit(_lend, todo, done, h_rng, h, scale, out)
+        task = pool.submit(_lend, todo, done, h_rng, h, scale)
         hand = todo.put
 
     def handed_back():
         block = done.get()
         if block is None:
             task.result()       # raises what the worker raised
-        a, b = block
-        return a, b, out[a:b]
+        return block
 
     try:
         for i, a in enumerate(starts):
             if i >= len(ring):
                 yield handed_back()
             b = min(n, a + _BLOCK)
-            g = ring[i % len(ring), :(b - a) * M]
+            slot = i % len(ring)
+            g = ring[slot, :(b - a) * M]
             rng.standard_exponential(out=g)
-            hand((a, b, g))
+            hand((a, b, g, out[a:b] if slots is None else slots[slot, :b - a]))
         for _ in ring:
             yield handed_back()
     finally:
@@ -242,6 +251,73 @@ def sample_sums(M: int, sigma2: float, count: int, seed: int,
     for _ in substreams(fill, chunk_counts(count, chunk)):
         pass
     return s
+
+
+def _halve(n: int) -> int:
+    """Where numpy's pairwise float sum splits n summands in two."""
+    half = n // 2
+    return half - half % 8
+
+
+def _segments(n: int) -> list:
+    """The lengths of the runs of at most ``_SEGMENT`` summands that cut
+    numpy's pairwise tree over n summands into subtrees, in order."""
+    if n <= _SEGMENT:
+        return [n]
+    half = _halve(n)
+    return _segments(half) + _segments(n - half)
+
+
+class PairwiseSum:
+    """``np.sum`` of n float64 summands handed in blocks, bit for bit.
+
+    numpy sums a contiguous float64 array pairwise: it splits more than
+    128 summands at ``_halve(n)`` and adds runs of at most 128 with eight
+    accumulators. Every node of that tree is the ``np.sum`` of its run,
+    so the fold cuts [0, n) into the subtrees of ``_segments(n)``, takes
+    the sum of each run as it completes and adds the run sums up the
+    same tree. A block that starts a run and covers it is summed in
+    place; a run that straddles blocks is gathered in a buffer of at
+    most ``_SEGMENT`` floats. At n = 2^20 the runs are the 4,096-row
+    blocks of ``element_blocks``. ``tests/test_util.py`` pins this order
+    against ``np.sum``, so a numpy that sums otherwise fails there.
+    """
+
+    def __init__(self, n: int):
+        self._n = n
+        self._runs = deque(_segments(n))
+        self._buf = np.empty(min(n, _SEGMENT))
+        self._fill = 0
+        self._sums = []
+
+    def add(self, x: np.ndarray):
+        """Fold the next ``x.size`` summands."""
+        while x.size:
+            run = self._runs[0]
+            k = min(run - self._fill, x.size)
+            if k == run:
+                self._sums.append(float(np.sum(x[:k])))
+            else:
+                self._buf[self._fill:self._fill + k] = x[:k]
+                self._fill += k
+                if self._fill < run:
+                    return
+                self._sums.append(float(np.sum(self._buf[:run])))
+                self._fill = 0
+            self._runs.popleft()
+            x = x[k:]
+
+    def total(self) -> float:
+        """``float(np.sum(...))`` of the n summands, once all are in."""
+        sums = iter(self._sums)
+
+        def tree(n):
+            if n <= _SEGMENT:
+                return next(sums)
+            half = _halve(n)
+            return tree(half) + tree(n - half)
+
+        return 0.0 + tree(self._n)      # np.sum starts from +0.0
 
 
 @lru_cache(maxsize=8)

@@ -33,6 +33,11 @@ class AsymptoticPep:
     exponents: tuple        # the four zeta powers, leading first
     coincident: bool        # Gamma poles coincide: no terms, the contour value
 
+    @property
+    def clipped(self) -> bool:
+        """``raw`` fell outside [0, 1], so ``value`` is not ``raw``."""
+        return self.value != self.raw
+
 
 def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
                    snr_db: float) -> AsymptoticPep:

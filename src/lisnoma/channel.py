@@ -14,13 +14,16 @@ a whole hop; no scratch passes between substreams. A lone substream,
 such as a plain `simulate_pep` point of up to one chunk, runs in the
 calling thread and lends one pool worker the blocks' arithmetic while
 it walks the generator. Its consumers fold one block of rows at a time,
-in the substream's thread, and keep one chunk-length array each: plain
-`simulate_pep` its conditional values, which it computes block by block,
-and `simulate_ber` the gains q, beside one small-integer symbol index
-per frame and user; the link's symbols, noise and SIC decisions go
-block by block. Tilted `simulate_pep` draws each chunk's uniforms into a
-(3, M, rows) array of the substream's own and runs the conditional
-kernel in the calling thread, one chunk at a time.
+in the substream's thread. Plain `simulate_pep` holds no chunk-length
+array: it runs the conditional kernel on each block and folds the values
+and their squares with `_util.PairwiseSum`, which gives the bits of
+numpy's sum over the whole chunk. `simulate_ber` keeps the gains q,
+beside one small-integer symbol index per frame and user; the link's
+symbols, noise and SIC decisions go block by block. Tilted `simulate_pep`
+draws each chunk's (3, M, rows) uniforms a group of element rows at a
+time (`_tilt_uniforms`), folds each group into the chunk's sums over
+elements, and runs the conditional kernel in the calling thread, one
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import (_BLOCK, CHUNK, chunk_counts, chunk_rng, element_blocks,
-                    element_sums, sample_sums, substreams, wilson_interval)
+from ._util import (_BLOCK, CHUNK, PairwiseSum, chunk_counts, chunk_rng,
+                    element_blocks, element_sums, sample_sums, substreams,
+                    wilson_interval)
 from .config import SystemConfig
 from .moments import analytic_moments
 from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
@@ -169,6 +173,54 @@ class PepEstimate:
 
 # rows per tilted substream: keeps the per-element arrays cache-sized
 _TILT_CHUNK = 1 << 14
+# uniforms per plane that a tilted substream draws at a time
+_TILT_DRAW = 1 << 16
+
+
+def _tilt_uniforms(rng: np.random.Generator, M: int, n: int):
+    """Yield the uniforms of ``rng.random((3, M, n))``, G element rows of
+    each plane at a time.
+
+    Each yield is a (3, G, n) view, G = max(1, ``_TILT_DRAW`` // n) rows
+    and fewer in the last group, which the next yield overwrites. Where
+    G covers all M rows the draw is one call. Otherwise ``rng`` jumps
+    between the planes: ``random`` takes one 64-bit word per double, so
+    row j of plane p starts (p M + j) n words into the stream, and
+    ``advance`` counts steps modulo the PCG64 period of 2^128, so a jump
+    back is the period less its length. The values equal the whole
+    draw's, and ``rng`` ends where the whole draw leaves a generator with
+    no buffered 32-bit half, as every ``chunk_rng`` is.
+    """
+    G = max(1, _TILT_DRAW // n)
+    if G >= M:
+        yield rng.random((3, M, n))
+        return
+    u = np.empty((3, G, n))
+    at = 0                      # words of the stream taken so far
+    for j in range(0, M, G):
+        g = min(G, M - j)
+        for p in range(3):
+            start = (p * M + j) * n
+            rng.bit_generator.advance((start - at) % (1 << 128))
+            rng.random(out=u[p, :g])
+            at = start + g * n
+        yield u[:, :g]
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray, first: bool):
+    """Fold a group of element rows into their sums ``acc``, in the bits
+    of the whole draw's ``sum(axis=0)``.
+
+    The first group sets ``acc`` to numpy's own sum of its rows, which is
+    pairwise over M when n = 1, where one group holds every row. With
+    n > 1 numpy adds the rows of an (M, n) array one by one in row order,
+    from zero, so each later group's rows are added to ``acc`` in turn.
+    """
+    if first:
+        rows.sum(axis=0, out=acc)
+    else:
+        for row in rows:
+            acc += row
 
 
 def _auto_tilt(M: int, r: float) -> float:
@@ -202,7 +254,10 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     the element products and their hop split only, never on the raw
     magnitudes, which is what makes deep-tail points reachable at any M.
     Tilting is skipped for flagged events, where the estimand is not
-    small, and kappa = 1 is plain sampling.
+    small, and kappa = 1 is plain sampling. Either way a substream holds
+    no array as long as its chunk beyond the tilted sums and weights: a
+    plain one folds its values block by block, a tilted one draws its
+    uniforms a group of element rows at a time.
     """
     event = interference
     rd = math.sqrt(_distance_factor(config, user, event))
@@ -228,53 +283,68 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
 
     def draw(key):
-        """One substream's conditional values, or tilted sums and weights."""
+        """One substream's sums of values and squares, or tilted sums and
+        weights."""
         idx, n = key
         rng = chunk_rng(seed, idx)
         if kappa == 1.0:
-            vals = np.empty(n)
-            for a, b, q in element_blocks(rng, n, M, scale, vals):
+            fold, fold2 = PairwiseSum(n), PairwiseSum(n)
+            for _, _, q in element_blocks(rng, n, M, scale):
                 q /= rd
-                vals[a:b] = pep_conditional(q, event, N0=N0)
-            return vals, None
+                vals = pep_conditional(q, event, N0=N0)
+                fold.add(vals)
+                vals *= vals        # the bits of (vals * vals).sum()
+                fold2.add(vals)
+            return fold.total(), fold2.total(), n
         # Three uniforms on (0, 1] per element, element-major so that sums
         # over elements are row adds: w / s = -ln(u1 u2) is Gamma(2, 1),
         # and |rho| = -2 ln u3 is Exp with mean b = 2, so |rho| / b =
-        # -ln u3 and 2 cosh rho = u3^-2 + u3^2.
-        u = rng.random((3, M, n))
-        np.subtract(1.0, u, out=u)
-        u1, u2, u3 = u
-        u1 *= u2
-        np.log(u1, out=u1)                    # -w / s
-        g_sum = -u1.sum(axis=0)
-        np.log(u3, out=u2)                    # -|rho| / b
-        logw = log_norm + g_sum - u2.sum(axis=0)
-        u3 *= u3
-        np.reciprocal(u3, out=u2)
-        u2 += u3                              # 2 cosh rho
-        u2 *= u1
-        logw += s * u2.sum(axis=0)
+        # -ln u3 and 2 cosh rho = u3^-2 + u3^2. Each group of element
+        # rows adds into the sums of -w / s, -|rho| / b and -2 w cosh rho
+        # / s over elements.
+        sums = np.empty((3, n))
+        for k, u in enumerate(_tilt_uniforms(rng, M, n)):
+            np.subtract(1.0, u, out=u)
+            u1, u2, u3 = u
+            u1 *= u2
+            np.log(u1, out=u1)                # -w / s
+            np.log(u3, out=u2)                # -|rho| / b
+            _add_rows(sums[0], u1, k == 0)
+            _add_rows(sums[1], u2, k == 0)
+            u3 *= u3
+            np.reciprocal(u3, out=u2)
+            u2 += u3                          # 2 cosh rho
+            u2 *= u1
+            _add_rows(sums[2], u2, k == 0)
+        g_sum = -sums[0]
+        logw = log_norm + g_sum - sums[1]
+        logw += s * sums[2]
         return (2.0 * sigma2 * s) * g_sum, np.exp(logw)
 
     # the substreams draw on the pool and fold in substream order; the
-    # plain ones run the conditional kernel block by block as they draw,
-    # the tilted ones leave it to this thread, one chunk at a time
+    # plain ones run the conditional kernel block by block as they draw
+    # and return their sums, the tilted ones leave it to this thread, one
+    # chunk at a time
     total = 0.0
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    for vals, w in substreams(draw, chunk_counts(trials, chunk)):
-        if w is None:
-            wsum += vals.size
-            w2sum += vals.size
+    for part in substreams(draw, chunk_counts(trials, chunk)):
+        if kappa == 1.0:
+            sv, sv2, n = part
+            wsum += n
+            w2sum += n
         else:
+            vals, w = part
             vals /= rd              # tilted draws return the sums
             vals = w * pep_conditional(vals, event, N0=N0)
             wsum += float(w.sum())
             w2sum += float((w * w).sum())
-        total += float(vals.sum())
-        vals *= vals                # the bits of (vals * vals).sum()
-        total2 += float(vals.sum())
+            sv = float(vals.sum())
+            vals *= vals
+            sv2 = float(vals.sum())
+        total += sv
+        total2 += sv2
 
     mean = total / trials
     var = max(0.0, total2 / trials - mean * mean)

@@ -101,3 +101,24 @@ def test_numeric_order_is_distance_independent(cfg6):
     assert r1.numeric == pytest.approx(r2.numeric, rel=0.02)
     assert r1.rel_err < 0.05 and r2.rel_err < 0.05
     assert r1.branch == "a5"
+
+
+@pytest.mark.parametrize("M", [1, 8])
+def test_clipped_flags_every_value_that_is_not_raw(M):
+    # the benchmark's closed-form grid, 0 to 40 dB in 2 dB steps, on both
+    # canonical events: at M = 1 the sum runs above one at low SNR and
+    # below zero after; at M = 8 it is negative at every point
+    cfg = default_config(M=M)
+    flags = []
+    for user in (1, 2):
+        ev = build_event(cfg, user, (1.0, 1.0), -1.0,
+                         sic_errors=(0.0,) if user == 2 else None)
+        for snr in range(0, 41, 2):
+            a = pep_asymptotic(cfg, user, ev, snr_db=float(snr))
+            assert a.value == min(1.0, max(a.raw, 0.0))
+            assert a.clipped == (not 0.0 <= a.raw <= 1.0)
+            flags.append(a.clipped)
+    if M == 8:
+        assert all(flags)
+    else:
+        assert 0 < sum(flags) < len(flags)

@@ -28,7 +28,8 @@ from lisnoma import (SystemConfig, build_event, default_config,
 from lisnoma import _util
 from lisnoma._util import (CHUNK, SMALL_CHUNK, chunk_counts, chunk_rng,
                            sample_sums)
-from lisnoma.channel import _TILT_CHUNK, _slice_symbols
+from lisnoma.channel import (_TILT_CHUNK, _TILT_DRAW, _add_rows,
+                             _slice_symbols, _tilt_uniforms)
 from lisnoma.pep import _resolve_n0, pep_conditional
 
 SMALL = 1 << 18     # rows per substream of the moment and density checks
@@ -283,6 +284,33 @@ def test_lone_block_loop_yields_the_sums_in_order(monkeypatch, n):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", COUNTS[:-1] + [9 * 4096 + 5])
+def test_block_loop_without_out_keeps_each_slot_until_the_next(monkeypatch,
+                                                                cpus, n):
+    # without ``out`` each block's sums sit in the output slot paired with
+    # its ring slot; the consumer waits before it reads each block, so a
+    # worker that ran ahead into a slot still in use would show
+    monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
+    want_rng = np.random.default_rng(29)
+    want = _util.element_sums(want_rng, n, 3, 0.7)
+    rng = np.random.default_rng(29)
+
+    def consume():
+        got, end = [], 0
+        for a, b, sums in _util.element_blocks(rng, n, 3, 0.7):
+            assert a == end and sums.size == b - a
+            time.sleep(0.002)
+            got.append(sums.copy())
+            end = b
+        return end, got
+
+    end, got = _lone(consume)
+    assert end == n
+    assert np.array_equal(np.concatenate(got), want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("stop", ["after one block", "by raising"])
 def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
     # a slow worker still has blocks in hand when the consumer stops, so
@@ -487,29 +515,38 @@ def _plain_pep(trials):
     (lambda n: simulate_ber(default_config(M=6), (6.0,), frames=n), SMALL,
      2.0),
     (lambda n: empirical_moments(15, 0.5, samples=n), SMALL, 2.0),
-    (_plain_pep, CHUNK, 1.25),
-], ids=["ber", "moments", "pep"])
+], ids=["ber", "moments"])
 def test_consumers_hold_one_chunk_array(monkeypatch, run, n, bound):
     # at one CPU a consumer keeps one n-float array beside the sampler's
     # blocks: the gains q (and one index draw) for the link simulator,
-    # the sums for the moments, the conditional values for the PEP;
-    # whole-chunk folds peaked at about 11, 6 and 3 such arrays
+    # the sums for the moments; whole-chunk folds peaked at about 11 and
+    # 6 such arrays
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
     assert _traced_peak(lambda: run(n)) <= bound * n * 8
 
 
-def test_lone_plain_pep_holds_one_chunk_array_beside_the_ring(monkeypatch):
-    # at two CPUs the lone plain substream keeps four ring slots and the
-    # replay block, three blocks more than at one CPU: 1.5 MB at M = 15
-    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
-    assert _traced_peak(lambda: _plain_pep(CHUNK)) <= 1.35 * CHUNK * 8
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_plain_pep_holds_no_chunk_array(monkeypatch, cpus):
+    # a plain substream folds each block's conditional values as it draws
+    # them, so at CHUNK trials it holds the sampler's blocks of M floats
+    # (the ring and the replay block: two at one CPU, five when the lone
+    # substream borrows a worker), an output slot per ring slot, and at
+    # most eight block-length temporaries of the kernel and the two
+    # folds; keeping the n conditional values took 8 MB more
+    monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
+    blocks, slots = (2, 1) if cpus == 1 else (5, 4)
+    bound = (blocks * 15 + slots + 8) * _util._BLOCK * 8
+    assert _traced_peak(lambda: _plain_pep(CHUNK)) <= bound
 
 
 def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
-    # a tilted substream draws three uniforms per element and row into
-    # one (3, M, chunk) array and returns two chunk-length arrays; at one
-    # CPU each chunk is folded before the next is drawn, so the peak stays
-    # near one draw array whatever the trial count
+    # a tilted substream draws its chunk's three uniforms per element and
+    # row one group of element rows at a time, 3 _TILT_DRAW floats, and
+    # folds each group into three chunk-length sums before it returns two
+    # chunk-length arrays; at one CPU each chunk is folded before the next
+    # is drawn, so the peak is one group beside eleven chunk-length
+    # arrays, whatever M and the trial count. The whole (3, M, chunk)
+    # draw took 5.9 MB at M = 15
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
     cfg = default_config(M=15)
     ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
@@ -518,4 +555,27 @@ def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
         cfg, 1, interference=ev, snr_db=30.0, trials=1 << 18, seed=5,
         importance=True)))
     assert est[0].kappa < 1.0
-    assert peak <= 1.25 * 3 * 15 * _TILT_CHUNK * 8
+    assert peak <= (3 * _TILT_DRAW + 11 * _TILT_CHUNK) * 8
+
+
+@pytest.mark.parametrize("M", [1, 3, 4, 5, 15, 64])
+@pytest.mark.parametrize("n", [1, 5, _TILT_CHUNK])
+def test_grouped_tilted_draw_equals_one_whole_draw(M, n):
+    # the tilted sampler sums each plane's element rows as a whole draw's
+    # sum over elements does: pairwise over M at n = 1, where one group
+    # holds every row, else row by row in element order; M = 5 and 15
+    # end in a short group of rows at a full chunk, and the generator,
+    # which jumps between the planes, ends where the whole draw leaves it
+    want_rng = np.random.default_rng(43)
+    want = want_rng.random((3, M, n)).sum(axis=1)
+    rng = np.random.default_rng(43)
+    got = np.empty((3, n))
+    rows = 0
+    for k, u in enumerate(_tilt_uniforms(rng, M, n)):
+        for acc, plane in zip(got, u):
+            _add_rows(acc, plane, k == 0)
+        rows += u.shape[1]
+    assert rows == M
+    assert k + 1 == -(-M // max(1, _TILT_DRAW // n))
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
