@@ -181,20 +181,17 @@ def _tilt_uniforms(rng: np.random.Generator, M: int, n: int):
     """Yield the uniforms of ``rng.random((3, M, n))``, G element rows of
     each plane at a time.
 
-    Each yield is a (3, G, n) view, G = max(1, ``_TILT_DRAW`` // n) rows
-    and fewer in the last group, which the next yield overwrites. Where
-    G covers all M rows the draw is one call. Otherwise ``rng`` jumps
-    between the planes: ``random`` takes one 64-bit word per double, so
-    row j of plane p starts (p M + j) n words into the stream, and
-    ``advance`` counts steps modulo the PCG64 period of 2^128, so a jump
-    back is the period less its length. The values equal the whole
+    Each yield is a (3, G, n) view, G = min(M, max(1, ``_TILT_DRAW`` //
+    n)) rows and fewer in the last group, which the next yield
+    overwrites. ``rng`` jumps between the planes: ``random`` takes one
+    64-bit word per double, so row j of plane p starts (p M + j) n words
+    into the stream, and ``advance`` counts steps modulo the PCG64 period
+    of 2^128, so a jump back is the period less its length (where one
+    group holds every row, each jump is 0). The values equal the whole
     draw's, and ``rng`` ends where the whole draw leaves a generator with
     no buffered 32-bit half, as every ``chunk_rng`` is.
     """
-    G = max(1, _TILT_DRAW // n)
-    if G >= M:
-        yield rng.random((3, M, n))
-        return
+    G = min(M, max(1, _TILT_DRAW // n))
     u = np.empty((3, G, n))
     at = 0                      # words of the stream taken so far
     for j in range(0, M, G):
