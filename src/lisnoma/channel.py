@@ -29,6 +29,7 @@ chunk at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,8 +112,9 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
         pi, idx, n = key
         nstd = math.sqrt(N0[pi] / 2.0)
         sym_rng = chunk_rng(seed, pi, 0, idx)
-        # one whole draw per user: integers buffers 32-bit halves within a
-        # call, so a draw split into blocks would take other stream bits
+        # one whole draw per user, all before the blocks: the users' draws
+        # follow one another in sym_rng's stream, and every user's blocks
+        # read all users' symbols
         sym = [sym_rng.integers(0, c.size, n).astype(
             np.min_scalar_type(c.size - 1)) for c in consts]
         errs = np.zeros(L, dtype=np.int64)
@@ -162,6 +164,14 @@ class PepEstimate:
     ess: float          # effective sample size under the weights
     kappa: float        # tilted over true mean element sum (1 = plain sampling)
     flagged: bool       # vartheta <= 0: error probability above one half
+
+    @property
+    def se_underflowed(self) -> bool:
+        """``se`` reads 0 for a positive ``value`` whose square is below
+        the smallest normal float: the squared values, summed in linear
+        float64, underflowed, so the interval's zero width means nothing."""
+        return (self.value > 0 and self.se == 0
+                and self.value * self.value < sys.float_info.min)
 
 
 # Tilted proposal, per element. With u, v the two hop powers over 2 sigma2,

@@ -282,11 +282,13 @@ def _cmd_pep(args, parser) -> int:
     seed = _resolve_seed(args)
 
     rows = []
+    underflowed = 0
     for s in grid.db:
         if args.method == "mc":
             est = simulate_pep(cfg, args.user, interference=event,
                                snr_db=s, trials=args.trials, seed=seed,
                                importance=True)
+            underflowed += est.se_underflowed
             lo = max(0.0, est.value - _Z95 * est.se)
             hi = min(1.0, est.value + _Z95 * est.se)
             rows.append(",".join((_fmt(s), _fmt(est.value), _fmt(lo),
@@ -307,6 +309,8 @@ def _cmd_pep(args, parser) -> int:
     comments = (f"user: {args.user}",
                 f"event: x={tuple(event.x)} xbar={_fmt(event.xbar)} "
                 f"vartheta={_fmt(event.vartheta)}")
+    if underflowed:
+        comments += (f"se underflowed: {underflowed}",)
     _emit(_csv(man, "snr_db,value,ci_low,ci_high,method", rows, comments),
           args.out)
     return 0

@@ -385,17 +385,56 @@ def _nonpositive_int(x, tol: float) -> bool:
     return r <= 0 and abs(xr.real - r) <= tol
 
 
+def _family_sums(z, alpha: complex, beta: complex):
+    """One family's damped series: its sum and the sum of its term sizes.
+
+    Terms are term * (alpha + k) * z / ((beta + k) * (k + 1)), formed in
+    place one factor at a time in that left-to-right order. When alpha
+    and beta are real the loop runs in float64: numpy divides by a
+    complex number of zero imaginary part as a multiply by its
+    reciprocal (Smith's algorithm), so these steps give the complex
+    loop's real parts bit for bit.
+    """
+    real = alpha.imag == 0 and beta.imag == 0
+    term = np.ones_like(z, dtype=float if real else complex)
+    acc = np.ones_like(term)
+    accmag = np.ones_like(z)
+    for k in range(_SERIES_TERMS):
+        if real:
+            term *= alpha.real + k
+            term *= z
+            term *= 1.0 / ((beta.real + k) * (k + 1))
+        else:
+            term *= alpha + k
+            term *= z
+            term /= (beta + k) * (k + 1)
+        acc += term
+        size = np.abs(term)
+        accmag += size
+        if k > 3 and (size <= _SERIES_RTOL * np.abs(acc)).all():
+            return acc, accmag
+    raise ConvergenceError("residue series exhausted its term budget")
+
+
 def _series_2012(z, a3, a4, a5):
     """Left-pole residue series, one confluent family per lower parameter.
 
     Written in the exponentially damped form, so the terms inside each
     family are non-alternating; cross-family cancellation is monitored
     and reported through the returned error estimate.
+
+    A real fit sums each family in float64 (see ``_family_sums``). At a
+    conjugate-pair fit the second family's parameters are the exact
+    conjugates of the first's, and numpy's complex product, quotient and
+    modulus are symmetric under conjugation, so its sums are the first
+    family's conjugated and its loop is skipped. Either way the values
+    and estimates are those of the all-complex loops, bit for bit.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     total = np.zeros_like(z, dtype=complex)
     mag = np.zeros_like(z)
 
+    conjugates = {}     # conjugated (alpha, beta) -> conjugated sums
     for b, other in ((a4, a5), (a5, a4)):
         if _nonpositive_int(a3 - b, 1e-12):
             continue  # reciprocal gamma zero kills this family
@@ -404,22 +443,12 @@ def _series_2012(z, a3, a4, a5):
         pref = np.exp(logpref)
         alpha = complex(a3 - other)   # damped-series numerator parameter
         beta = complex(1 + b - other)
-        term = np.ones_like(z, dtype=complex)
-        acc = np.ones_like(z, dtype=complex)
-        accmag = np.ones_like(z)
-        for k in range(_SERIES_TERMS):
-            # in place, one factor at a time, in the left-to-right order
-            # of term * (alpha + k) * z / ((beta + k) * (k + 1))
-            term *= alpha + k
-            term *= z
-            term /= (beta + k) * (k + 1)
-            acc += term
-            size = np.abs(term)
-            accmag += size
-            if k > 3 and (size <= _SERIES_RTOL * np.abs(acc)).all():
-                break
+        if (alpha, beta) in conjugates:
+            acc, accmag = conjugates[alpha, beta]
         else:
-            raise ConvergenceError("residue series exhausted its term budget")
+            acc, accmag = _family_sums(z, alpha, beta)
+            conjugates[alpha.conjugate(), beta.conjugate()] = (np.conj(acc),
+                                                               accmag)
         total = total + pref * acc
         mag = mag + np.abs(pref) * accmag
 

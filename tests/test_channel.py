@@ -132,3 +132,17 @@ def test_tilted_estimate_resolves_fifteen_elements_at_thirty_db():
     assert est.kappa < 1.0
     assert 0.0 < est.value < pep_general(cfg15, 1, event, snr_db=30.0).raw
     assert est.se / est.value < 0.05
+
+
+def test_underflowed_standard_error_is_flagged():
+    # at M = 64 and 40 dB the weighted values sit near 1e-187, so their
+    # squares underflow in linear float64 and se reads 0; the estimate
+    # says so in place of a zero-width interval
+    cfg64 = default_config(M=64)
+    event = build_event(cfg64, 1, (-1.0, -1.0), 1.0)
+    est = {snr: simulate_pep(cfg64, 1, interference=event, snr_db=snr,
+                             trials=20_000, seed=7, importance=True)
+           for snr in (30.0, 40.0)}
+    assert 0.0 < est[40.0].value < 1e-180 and est[40.0].se == 0.0
+    assert est[40.0].se_underflowed
+    assert est[30.0].se > 0.0 and not est[30.0].se_underflowed

@@ -233,6 +233,20 @@ def test_pep_simulation_reports_an_interval(capsys):
         assert r[4] == "mc"
 
 
+def test_pep_simulation_counts_underflowed_standard_errors(capsys):
+    # the 40 dB row's se underflows to 0 (see test_channel); one comment
+    # counts such rows, and a run without one carries no comment
+    argv = ("pep", "--M", "64", "--method", "mc", "--trials", "20000",
+            "--seed", "7")
+    code, out, _ = run(capsys, *argv, "--snr", "30:40:10")
+    assert code == 0
+    assert "# se underflowed: 1" in out.splitlines()
+    _, rows = csv_rows(out)
+    assert rows[1][1] == rows[1][2] == rows[1][3]
+    code, out, _ = run(capsys, *argv, "--snr", "30:30:10")
+    assert code == 0 and "underflowed" not in out
+
+
 def test_diversity_report(capsys):
     code, out, _ = run(capsys, "diversity", "--M", "6", "--user", "2",
                        "--numeric")

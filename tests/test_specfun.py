@@ -19,8 +19,9 @@ import scipy
 from lisnoma import (build_event, default_config, fit_gparams, pep_general,
                      specfun)
 from lisnoma.pdf_approx import pdf_g, quadrature_domain
-from lisnoma.specfun import (ConvergenceError, _contour_log, _offsets_1443,
-                             _series_2012, meijer_g_1443, meijer_g_2012)
+from lisnoma.specfun import (ConvergenceError, _contour_log, _family_sums,
+                             _nonpositive_int, _offsets_1443, _series_2012,
+                             meijer_g_1443, meijer_g_2012)
 
 # shape parameters of the fitted kernels these engines exist for
 M3_PARAMS = (5.6832113559305000221,
@@ -95,6 +96,108 @@ def test_series_and_contour_paths_agree():
         assert got[0] == pytest.approx(ref, rel=1e-8)
         agreed += 1
     assert agreed >= 5
+
+
+def _series_2012_complex(z, a3, a4, a5):
+    # the residue series with every family summed in complex128, as the
+    # kernel did before real fits ran in float64 and conjugate pairs once
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    total = np.zeros_like(z, dtype=complex)
+    mag = np.zeros_like(z)
+    for b, other in ((a4, a5), (a5, a4)):
+        if _nonpositive_int(a3 - b, 1e-12):
+            continue
+        logpref = (scipy.special.loggamma(complex(other - b))
+                   - scipy.special.loggamma(complex(a3 - b))
+                   + b * np.log(z) - z)
+        pref = np.exp(logpref)
+        alpha = complex(a3 - other)
+        beta = complex(1 + b - other)
+        term = np.ones_like(z, dtype=complex)
+        acc = np.ones_like(z, dtype=complex)
+        accmag = np.ones_like(z)
+        for k in range(specfun._SERIES_TERMS):
+            term *= alpha + k
+            term *= z
+            term /= (beta + k) * (k + 1)
+            acc += term
+            size = np.abs(term)
+            accmag += size
+            if k > 3 and (size <= specfun._SERIES_RTOL * np.abs(acc)).all():
+                break
+        else:
+            raise ConvergenceError("residue series exhausted its term budget")
+        total = total + pref * acc
+        mag = mag + np.abs(pref) * accmag
+    result = np.real(total)
+    err = np.full_like(result, np.inf)
+    ok = np.isfinite(result) & (result != 0)
+    scale = np.maximum(np.abs(result[ok]), 1e-300)
+    with np.errstate(over="ignore"):
+        err[ok] = mag[ok] / scale * 2e-16 + np.abs(np.imag(total[ok])) / scale
+    return result, err
+
+
+# the series range, evenly and by decades
+SERIES_GRIDS = (np.linspace(0.025, 10.0, 400), np.geomspace(1e-3, 10.0, 400))
+
+
+def _assert_series_bits(a3, a4, a5):
+    for zs in SERIES_GRIDS:
+        got = _series_2012(zs, a3, a4, a5)
+        want = _series_2012_complex(zs, a3, a4, a5)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("M", range(1, 65))
+def test_series_equals_the_all_complex_loop(M):
+    # float64 sums at real fits (M >= 4) and one loop per conjugate pair
+    # (M <= 3) must leave every value and error estimate unchanged
+    p = fit_gparams(M, 0.5)
+    assert p.complex_pair == (M <= 3)
+    _assert_series_bits(p.a3, p.a4, p.a5)
+
+
+@pytest.mark.parametrize("a3,a4,a5", [(1.7, 1.7, 0.0), (2.5, 3.5, 0.3),
+                                      (0.4, 1.4, 2.25)])
+def test_series_with_one_family_skipped_equals_the_all_complex_loop(
+        a3, a4, a5):
+    # a3 - a4 is 0 or -1, so the reciprocal gamma drops the first family
+    assert _nonpositive_int(a3 - a4, 1e-12)
+    _assert_series_bits(a3, a4, a5)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_conjugate_families_sum_to_exact_conjugates(M):
+    # the reuse of the first family's sums rests on numpy's complex
+    # product, quotient and modulus being symmetric under conjugation
+    p = fit_gparams(M, 0.5)
+    alpha, beta = complex(p.a3 - p.a5), complex(1 + p.a4 - p.a5)
+    assert alpha.imag != 0
+    for zs in SERIES_GRIDS:
+        acc, accmag = _family_sums(zs, alpha, beta)
+        acc2, accmag2 = _family_sums(zs, alpha.conjugate(),
+                                     beta.conjugate())
+        assert np.array_equal(acc2, np.conj(acc))
+        assert np.array_equal(accmag2, accmag)
+
+
+def test_real_family_sums_in_float64():
+    p = fit_gparams(6, 0.5)
+    acc, accmag = _family_sums(SERIES_GRIDS[0], complex(p.a3 - p.a5),
+                               complex(1 + p.a4 - p.a5))
+    assert acc.dtype == accmag.dtype == np.float64
+
+
+@pytest.mark.parametrize("M", [3, 6])
+def test_series_out_of_terms_raises_on_either_branch(M, monkeypatch):
+    # M = 3 sums a conjugate pair in complex128, M = 6 real families in
+    # float64; neither may return a sum cut short by its term budget
+    monkeypatch.setattr(specfun, "_SERIES_TERMS", 3)
+    p = fit_gparams(M, 0.5)
+    with pytest.raises(ConvergenceError, match="term budget"):
+        _series_2012(SERIES_GRIDS[0], p.a3, p.a4, p.a5)
 
 
 def test_integer_separated_parameters_take_the_contour():
