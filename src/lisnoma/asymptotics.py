@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from scipy import special as sp
@@ -39,6 +40,30 @@ class AsymptoticPep:
         return self.value != self.raw
 
 
+@lru_cache(maxsize=64)
+def _expansion(a3, a4, a5):
+    """The part of the four-term expansion that depends on the fit alone.
+
+    Returns the exponents (leading first), whether two pole families
+    coincide, and for each pole q_j the Gamma factors of its residue's
+    coefficient as logs: log Gamma(q_j), the log Gamma(q_i - q_j) of the
+    other three poles and the log Gamma(d - q_j) of the two denominator
+    factors. A coincident fit has no coefficients.
+    """
+    _, poles, den = _offsets_1443(a3, a4, a5)
+    exponents = tuple(sorted(poles, key=lambda q: q.real))
+    if any(i != j and _nonpositive_int(poles[i] - poles[j], 1e-9)
+           for j in range(4) for i in range(4)):
+        return exponents, True, ()
+    coefficients = tuple(
+        (qj, complex(sp.loggamma(qj)),
+         tuple(complex(sp.loggamma(poles[i] - qj)) for i in range(4)
+               if i != j),
+         tuple(complex(sp.loggamma(d - qj)) for d in den))
+        for j, qj in enumerate(poles))
+    return exponents, False, coefficients
+
+
 def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
                    snr_db: float) -> AsymptoticPep:
     """Leading four-term expansion of the averaged Chernoff bound.
@@ -48,38 +73,29 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
     coefficients; those are reported and the exact contour value is
     returned instead of a masked evaluation. Raises ValueError where a
     term overflows float64, which happens far below the SNR range the
-    expansion is meant for.
+    expansion is meant for. The coefficients' Gamma factors depend on
+    the fit alone and are taken once per fit (see ``_expansion``); each
+    point adds them to its own zeta power in the same order.
     """
     N0 = _resolve_n0(snr_db)
     p = fit_gparams(config.M, config.sigma2)
     zeta, log_k = _chernoff_args(p, _distance_factor(config, user, event),
                                  [event], [N0])
-
-    _, poles, den = _offsets_1443(p.a3, p.a4, p.a5)
-    order = sorted(range(4), key=lambda i: poles[i].real)
-
-    coincident = False
-    for j in range(4):
-        for i in range(4):
-            if i != j and _nonpositive_int(poles[i] - poles[j], 1e-9):
-                coincident = True
+    exponents, coincident, coefficients = _expansion(p.a3, p.a4, p.a5)
 
     if coincident:
         exact = pep_general(config, user, event, snr_db=snr_db)
         return AsymptoticPep(value=exact.value, raw=exact.raw, terms=(),
-                             exponents=tuple(poles[i] for i in order),
-                             coincident=True)
+                             exponents=exponents, coincident=True)
 
     lz = math.log(zeta[0])
     terms = []
-    for j in range(4):
-        qj = poles[j]
-        lg = complex(sp.loggamma(qj)) - qj * lz
-        for i in range(4):
-            if i != j:
-                lg += complex(sp.loggamma(poles[i] - qj))
-        for d in den:
-            lg -= complex(sp.loggamma(d - qj))
+    for qj, lg_qj, lg_gaps, lg_den in coefficients:
+        lg = lg_qj - qj * lz
+        for g in lg_gaps:
+            lg += g
+        for g in lg_den:
+            lg -= g
         try:
             terms.append(cmath.exp(log_k + lg))
         except OverflowError:
@@ -93,8 +109,7 @@ def pep_asymptotic(config: SystemConfig, user: int, event: ErrorEvent,
         raise ArithmeticError("expansion lost conjugate symmetry")
     raw = total.real
     return AsymptoticPep(value=min(1.0, max(raw, 0.0)), raw=raw,
-                         terms=tuple(terms),
-                         exponents=tuple(poles[i] for i in order),
+                         terms=tuple(terms), exponents=exponents,
                          coincident=False)
 
 
@@ -135,7 +150,9 @@ def diversity_order(config: SystemConfig, user: int,
     The numeric slope is measured on a distance-normalized copy of the
     scenario (slope is distance-independent; normalizing just moves the
     asymptotic regime inside the grid) using the largest-projection error
-    event for the user.
+    event for the user. Raises ValueError where the bound underflows
+    float64 at a grid point, as the default grid's 45 dB point does from
+    M = 64 on.
     """
     config._check_user(user)
     p = fit_gparams(config.M, config.sigma2)
@@ -149,6 +166,12 @@ def diversity_order(config: SystemConfig, user: int,
     f = pep_m1 if config.M == 1 else pep_general
     p_lo = f(probe, user, event, snr_db=lo)
     p_hi = f(probe, user, event, snr_db=hi)
+    for snr, pv in ((lo, p_lo), (hi, p_hi)):
+        if pv.raw <= 0:
+            raise ValueError(
+                f"the bound underflows float64 at the grid point {snr:g} dB "
+                f"(its log is {pv.log_raw:.6g}), so the secant slope has "
+                f"no value there; use a lower grid")
     numeric = ((math.log10(p_lo.raw) - math.log10(p_hi.raw))
                / ((hi - lo) / 10.0))
     rel = abs(numeric - analytic) / analytic

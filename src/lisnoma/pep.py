@@ -158,8 +158,13 @@ def _distance_factor(config: SystemConfig, user: int, *events) -> float:
     return D
 
 
+def _raw(raw_log: float) -> float:
+    """The raw bound of a log: exp(raw_log), or inf from a log of 700 up."""
+    return math.exp(raw_log) if raw_log < 700 else math.inf
+
+
 def _finish(raw_log: float, method: str, event: ErrorEvent) -> PepValue:
-    raw = math.exp(raw_log) if raw_log < 700 else math.inf
+    raw = _raw(raw_log)
     return PepValue(value=min(1.0, raw), raw=raw, log_raw=raw_log,
                     method=method, flagged=event.flagged)
 
@@ -171,13 +176,13 @@ def _chernoff_args(p: GParams, D: float, events: Sequence[ErrorEvent],
     The general-M Chernoff bound is exp(log_k) * G(zeta) with the
     averaged kernel G; ``p`` is the fit and ``D`` the distance factor.
     """
-    zeta = np.array([2.0 * p.a2 ** 2 * ev.vartheta ** 2
-                     / (D * (2.0 * n0 * ev.delta_bar ** 2))
-                     for ev, n0 in zip(events, N0)])
-    if np.any(zeta <= 0):
+    zeta = [2.0 * p.a2 ** 2 * ev.vartheta ** 2
+            / (D * (2.0 * n0 * ev.delta_bar ** 2))
+            for ev, n0 in zip(events, N0)]
+    if any(z <= 0 for z in zeta):
         raise ValueError("degenerate event: vartheta is zero")
     log_k = (p.log_a1 + math.log(p.a2) + (p.a6 - p.a3) * _LN2 - 0.5 * _LNPI)
-    return zeta, log_k
+    return np.array(zeta), log_k
 
 
 def _log_pep_general(config: SystemConfig, user: int,
@@ -185,15 +190,21 @@ def _log_pep_general(config: SystemConfig, user: int,
                      N0: Sequence[float]) -> np.ndarray:
     """Log of the general-M Chernoff bound for each (event, N0) pair.
 
-    All pairs go to the averaged kernel in one call.
+    All pairs go to the averaged kernel in one call, each distinct
+    argument once: a kernel value depends on its argument alone, so the
+    pairs that share an argument (a union bound's events often do) share
+    its value bit for bit.
     """
     p = fit_gparams(config.M, config.sigma2)
     zeta, log_k = _chernoff_args(p, _distance_factor(config, user, *events),
                                  events, N0)
+    back = slice(None)
+    if zeta.size > 1:
+        zeta, back = np.unique(zeta, return_inverse=True)
     log_g, sign, _ = meijer_g_1443_log(zeta, p.a3, p.a4, p.a5)
     if np.any(sign <= 0):
         raise ValueError("kernel evaluation lost positivity")
-    return log_k + log_g
+    return (log_k + log_g)[back]
 
 
 def pep_general(config: SystemConfig, user: int, event: ErrorEvent,

@@ -31,6 +31,14 @@ on which arguments share the call, nor on which calls came before. The
 gamma ratio of each offset set is built once and kept too, at most
 _MAX_RATIOS of them, least recently used dropped; it holds only the
 offsets, so it cannot change a value.
+
+A new line costs its gamma factors and a fixed handful of array calls:
+the saddle search hands it log|F| at its abscissa, and the scalar
+bookkeeping of a lone band or a lone argument runs on Python floats.
+Only +, -, *, /, abs, max and comparisons move to Python floats;
+loggamma, exp, cos, log and every row sum stay in numpy, whose vector
+loops can differ from ``math`` in the last bit, so every path gives the
+array path's bits.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import collections
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import special as sp
@@ -126,14 +134,20 @@ class _GammaRatio:
                          for ndim in (1, 2)}
 
     def log(self, s):
-        """log F(s), elementwise over a 1-D or 2-D array of points s."""
+        """log F(s), elementwise over a 1-D or 2-D array of points s.
+
+        Every point's factors are added in row order, so its sum does not
+        depend on the other points. numpy adds the leading axis of a sum
+        row by row; starting from -0j keeps a sum of negative zeros
+        negative, as plain row additions do. A lone point's column numpy
+        would sum pairwise, so its rows are added one by one.
+        """
         offset, direction, sign = self._columns[s.ndim]
-        terms = sign * sp.loggamma(offset + direction * s)
-        # row by row, so every point's sum is formed in the same order
-        out = terms[0]
-        for row in terms[1:]:
-            out = out + row
-        return out
+        terms = sp.loggamma(offset + direction * s)
+        terms *= sign
+        if s.size == 1:
+            return reduce(np.add, terms)
+        return terms.sum(axis=0, initial=-0j)
 
 
 @lru_cache(maxsize=_MAX_RATIOS)
@@ -157,43 +171,59 @@ def _saddles(lnz, ratio):
     around the lowest sample, for all bands at once. A pole clearance
     margin is kept at the strip edges; without it the line can park next
     to a pole and leave a spike the trapezoid cannot resolve.
+
+    Returns the abscissas and log|F| at them, which the last round has
+    already taken. A lone band narrows its bracket on Python floats;
+    the grid, its gamma factors and the open strip's exp stay in numpy,
+    so either way the abscissa is the same to the bit.
     """
     lo, hi = ratio.lo, ratio.hi
-    lnz = lnz[:, None]      # one row per band, one column per grid cell
     if math.isfinite(hi):
         margin = _pole_margin(hi - lo)
-        left = np.full_like(lnz, lo + margin)
-        right = np.full_like(lnz, hi - margin)
+        left, right = lo + margin, np.full_like(lnz, hi - margin)
     else:
         # growth is eventually monotone; the saddle sits near the argument
-        left = np.full_like(lnz, lo + _pole_margin(10.0))
+        left = lo + _pole_margin(10.0)
         right = lo + np.maximum(10.0, 1.5 * np.exp(lnz) + 25.0)
+    if lnz.size == 1:
+        lnz, right = float(lnz[0]), float(right[0])
+        for _ in range(_SADDLE_ROUNDS):
+            step = (right - left) / _SADDLE_CELLS
+            grid = left + step * _CELLS
+            log_f = ratio.log(grid).real
+            best = int((log_f - grid * lnz).argmin())
+            right = left + step * min(best + 1, _SADDLE_CELLS)
+            left = left + step * max(best - 1, 0)
+        return grid[best:best + 1], log_f[best:best + 1]
+    lnz = lnz[:, None]      # one row per band, one column per grid cell
+    left, right = np.full_like(lnz, left), right[:, None]
     for _ in range(_SADDLE_ROUNDS):
         step = (right - left) / _SADDLE_CELLS
         grid = left + step * _CELLS
-        best = (ratio.log(grid).real - grid * lnz).argmin(axis=1)
+        log_f = ratio.log(grid).real
+        best = (log_f - grid * lnz).argmin(axis=1)
         right = left + step * _NEXT_RIGHT[best, None]
         left = left + step * _NEXT_LEFT[best, None]
-    return grid[np.arange(grid.shape[0]), best]
+    rows = np.arange(grid.shape[0])
+    return grid[rows, best], log_f[rows, best]
 
 
-def _half_lengths(c, ratio):
+def _half_lengths(c, ratio, g0):
     """Where each line's integrand falls below the tail cutoff.
 
     The argument only turns the phase along a vertical line, so the
-    truncation depends on the abscissa alone. Returns the half-lengths
-    and log F at the abscissas.
+    truncation depends on the abscissa alone. ``g0`` is log|F| at the
+    abscissas ``c``.
     """
     if ratio.decay <= 0:
         raise ConvergenceError("integrand does not decay on vertical lines")
-    g0 = ratio.log(c).real
     T = np.full_like(c, (-_TAIL_LOG) / ratio.decay + 5.0)
     open_ = np.arange(c.size)
     for _ in range(40):
         tail = ratio.log(c[open_] + 1j * T[open_]).real
         open_ = open_[tail - g0[open_] >= _TAIL_LOG]
         if open_.size == 0:
-            return T, g0
+            return T
         T[open_] *= 1.3
     raise ConvergenceError("could not truncate the contour tail")
 
@@ -202,12 +232,18 @@ def _row_sums(lnz, t, amp, phase):
     """sum_j amp_j cos(phase_j - t_j ln z) for each ln z.
 
     Evaluated in row blocks of at most _BLOCK entries, so peak memory
-    does not grow with the number of arguments. Each row is summed on
-    its own, so its value does not depend on the other rows.
+    does not grow with the number of arguments; each block is formed in
+    place in one array. Each row is summed on its own, so its value does
+    not depend on the other rows.
     """
     rows = max(1, _BLOCK // t.size)
-    sums = [(np.cos(phase - lnz[i:i + rows, None] * t) * amp).sum(axis=1)
-            for i in range(0, lnz.size, rows)]
+    sums = []
+    for i in range(0, lnz.size, rows):
+        block = np.multiply(lnz[i:i + rows, None], t)
+        np.subtract(phase, block, out=block)
+        np.cos(block, out=block)
+        block *= amp
+        sums.append(block.sum(axis=1))
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
@@ -229,9 +265,12 @@ class _Line:
     levels: list
 
 
-def _new_lines(c, ratio):
-    """Lines at the abscissas ``c``, with no doubling level built yet."""
-    T, g0 = _half_lengths(c, ratio)
+def _new_lines(c, ratio, g0):
+    """Lines at the abscissas ``c``, with no doubling level built yet.
+
+    ``g0`` is log|F| at ``c``.
+    """
+    T = _half_lengths(c, ratio, g0)
     # a pole at distance d from the line leaves a bump of width ~d along
     # it; start with enough nodes that the bump is sampled, or the
     # doubling loop can plateau on a wrong value
@@ -254,8 +293,8 @@ def _memo_lines(band, ratio):
     lines = [_LINES.get(key) for key in keys]
     missing = [k for k, line in enumerate(lines) if line is None]
     if missing:
-        c = _saddles((band[missing] + 0.5) * _BAND_LOG, ratio)
-        for k, line in zip(missing, _new_lines(c, ratio)):
+        c, g0 = _saddles((band[missing] + 0.5) * _BAND_LOG, ratio)
+        for k, line in zip(missing, _new_lines(c, ratio, g0)):
             lines[k] = line
     for key, line in zip(keys, lines):
         _LINES.pop(key, None)
@@ -273,8 +312,9 @@ def _band_sums(lnz, line, ratio, rtol):
     t >= 0 is sampled. Nodes double, reusing the old ones, until each
     argument's sum changes by at most ``rtol`` relative; that argument
     then keeps the sum of the doubling where it converged. A level
-    missing from ``line`` is built and kept there. Returns the sums and
-    the final node count.
+    missing from ``line`` is built and kept there. A lone argument runs
+    the doubling test on Python floats, its row sums staying in numpy.
+    Returns the sums and the final node count.
     """
     def level(i, n, h):
         # level 0 is the n-node grid on [0, T]; level i > 0 adds the
@@ -298,12 +338,27 @@ def _band_sums(lnz, line, ratio, rtol):
     n = line.first
     h = line.T / (n - 1)
     acc = _row_sums(lnz, *level(0, n, h))
+    i = 0
+    if lnz.size == 1:
+        # one argument: the doubling test runs on Python floats
+        acc = float(acc[0])
+        prev = 2.0 * h * acc
+        while n < _MAX_NODES:
+            i += 1
+            nodes = level(i, n, h)
+            n = 2 * n - 1
+            h = 0.5 * h
+            acc = acc + float(_row_sums(lnz, *nodes)[0])
+            cur = 2.0 * h * acc
+            if abs(cur - prev) <= rtol * max(abs(cur), abs(prev), 1e-300):
+                return np.array([cur]), n
+            prev = cur
+        raise ConvergenceError("node doubling hit its cap before converging")
     prev = 2.0 * h * acc
     out = np.empty_like(prev)
     # positions in ``out`` of the arguments still doubling; lnz, acc and
     # prev hold those arguments only
     active = np.arange(lnz.size)
-    i = 0
     while n < _MAX_NODES:
         i += 1
         nodes = level(i, n, h)
@@ -343,7 +398,7 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
     lnz = np.log(z)
     cell = np.floor(lnz / _BAND_LOG)
     if cell.size and (cell == cell[0]).all():
-        band, rows = cell[:1], [slice(None)]
+        band, where, rows = cell[:1], 0, [slice(None)]
     else:
         band, where = np.unique(cell, return_inverse=True)
         rows = [np.flatnonzero(where == k) for k in range(band.size)]
@@ -354,23 +409,25 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
             c = float(abscissa)
             if not ratio.lo < c < ratio.hi:
                 raise ValueError("abscissa outside the legal strip")
-            lines = _new_lines(np.full(band.size, c), ratio)
+            c = np.full(band.size, c)
+            lines = _new_lines(c, ratio, ratio.log(c).real)
 
-        log_abs = np.empty_like(z)
-        sign = np.empty_like(z)
+        sums = np.empty_like(z)
         specs = []
-        with np.errstate(divide="ignore"):
-            for k, line in enumerate(lines):
-                sums, nodes = _band_sums(lnz[rows[k]], line, ratio, rtol)
-                sign[rows[k]] = np.sign(sums)
-                # raw line integral of F over [-T, T] carries the 1/(2 pi)
-                log_abs[rows[k]] = (line.g0 - line.c * lnz[rows[k]]
-                                    + np.log(np.abs(sums)) - _LN2PI)
-                specs.append(MellinBarnesSpec(
-                    *ratio.key, band=(math.exp(band[k] * _BAND_LOG),
-                                      math.exp((band[k] + 1) * _BAND_LOG)),
-                    abscissa=line.c, half_length=line.T, nodes=nodes))
-    return log_abs, sign, tuple(specs)
+        for k, line in enumerate(lines):
+            sums[rows[k]], nodes = _band_sums(lnz[rows[k]], line, ratio, rtol)
+            specs.append(MellinBarnesSpec(
+                *ratio.key, band=(math.exp(band[k] * _BAND_LOG),
+                                  math.exp((band[k] + 1) * _BAND_LOG)),
+                abscissa=line.c, half_length=line.T, nodes=nodes))
+    # every argument's abscissa and log|F| there, so that the sign and the
+    # log of all arguments are formed in one pass
+    c = np.array([line.c for line in lines])[where]
+    g0 = np.array([line.g0 for line in lines])[where]
+    with np.errstate(divide="ignore"):
+        # raw line integral of F over [-T, T] carries the 1/(2 pi)
+        log_abs = g0 - c * lnz + np.log(np.abs(sums)) - _LN2PI
+    return log_abs, np.sign(sums), tuple(specs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .config import SystemConfig
 # pep_general stays a module attribute: bench/tracing.py wraps it by name
-from .pep import (_finish, _log_pep_general, _resolve_n0, build_event,
+from .pep import (_log_pep_general, _raw, _resolve_n0, build_event,
                   pep_general, pep_m1)
 
 
@@ -54,7 +54,7 @@ def _event_raws(config: SystemConfig, user: int, events: tuple,
     N0 = [_resolve_n0(s) for s in snr_db]
     logs = _log_pep_general(config, user, [ev for _ in N0 for ev in events],
                             [n0 for n0 in N0 for _ in events])
-    return [[_finish(v, "general", ev).raw for v, ev in zip(row, events)]
+    return [[_raw(v) for v in row]
             for row in logs.reshape(len(N0), len(events)).tolist()]
 
 

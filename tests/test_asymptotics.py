@@ -1,15 +1,18 @@
 """High-SNR expansion and the diversity order it predicts."""
 
+import cmath
 import dataclasses
 import math
 from types import SimpleNamespace
 
 import pytest
+from scipy import special as sp
 
 import lisnoma.asymptotics as asym
 from lisnoma import (analytic_diversity, build_event, default_config,
                      diversity_order, pep_asymptotic, pep_general)
-from lisnoma.specfun import _nonpositive_int
+from lisnoma.pep import _chernoff_args, _distance_factor, _resolve_n0
+from lisnoma.specfun import _nonpositive_int, _offsets_1443
 
 # (min real lower shape exponent + 1) / 2, from the 60-digit fit solve
 ANALYTIC_ORDER = {
@@ -122,3 +125,76 @@ def test_clipped_flags_every_value_that_is_not_raw(M):
         assert all(flags)
     else:
         assert 0 < sum(flags) < len(flags)
+
+
+def _asymptotic_by_points(config, user, event, snr_db):
+    # pep_asymptotic's raw value and terms with every Gamma factor taken
+    # at the point itself, in the order the expansion adds them
+    N0 = _resolve_n0(snr_db)
+    p = asym.fit_gparams(config.M, config.sigma2)
+    zeta, log_k = _chernoff_args(p, _distance_factor(config, user, event),
+                                 [event], [N0])
+    _, poles, den = _offsets_1443(p.a3, p.a4, p.a5)
+    coincident = False
+    for j in range(4):
+        for i in range(4):
+            if i != j and _nonpositive_int(poles[i] - poles[j], 1e-9):
+                coincident = True
+    if coincident:
+        return pep_general(config, user, event, snr_db=snr_db).raw, ()
+    lz = math.log(zeta[0])
+    terms = []
+    for j in range(4):
+        qj = poles[j]
+        lg = complex(sp.loggamma(qj)) - qj * lz
+        for i in range(4):
+            if i != j:
+                lg += complex(sp.loggamma(poles[i] - qj))
+        for d in den:
+            lg -= complex(sp.loggamma(d - qj))
+        terms.append(cmath.exp(log_k + lg))
+    return sum(terms).real, tuple(terms)
+
+
+def _hex(raw, terms):
+    return raw.hex(), [(t.real.hex(), t.imag.hex()) for t in terms]
+
+
+def test_expansion_equals_the_point_by_point_sum():
+    # the benchmark's closed-form grid: its ten fits, 0 to 40 dB in 2 dB
+    # steps, both canonical events; the Gamma factors are taken once per
+    # fit, and every bit of every term must stay as a point computes it
+    moved = []
+    for M in (1, 2, 3, 4, 6, 8, 11, 16, 24, 32):
+        cfg = default_config(M=M)
+        for user in (1, 2):
+            ev = build_event(cfg, user, (1.0, 1.0), -1.0,
+                             sic_errors=(0.0,) if user == 2 else None)
+            for snr in range(0, 41, 2):
+                a = pep_asymptotic(cfg, user, ev, snr_db=float(snr))
+                want = _asymptotic_by_points(cfg, user, ev, float(snr))
+                if a.coincident or _hex(a.raw, a.terms) != _hex(*want):
+                    moved.append((M, user, snr))
+    assert moved == []
+
+
+def test_coincident_expansion_still_takes_the_closed_form(cfg, event_u1,
+                                                          monkeypatch):
+    fake = SimpleNamespace(a2=0.5, a3=6.0, a4=3.0, a5=1.0, a6=4.0,
+                           log_a1=0.0)
+    monkeypatch.setattr(asym, "fit_gparams", lambda M, s2: fake)
+    for snr in (0.0, 20.0, 40.0):
+        a = pep_asymptotic(cfg, 1, event_u1, snr_db=snr)
+        assert a.coincident and a.terms == ()
+        assert _hex(a.raw, a.terms) == _hex(
+            *_asymptotic_by_points(cfg, 1, event_u1, snr))
+
+
+def test_underflowed_secant_point_is_a_named_error():
+    # the default grid's 45 dB bound underflows float64 from M = 64 on
+    cfg = default_config(M=64)
+    with pytest.raises(ValueError, match=r"grid point 45 dB \(its log is "
+                                         r"-754\.197\)"):
+        diversity_order(cfg, 1)
+    rep = diversity_order(default_config(M=56), 1)
+    assert math.isfinite(rep.numeric) and rep.rel_err < 0.05

@@ -257,6 +257,14 @@ def test_diversity_report(capsys):
     assert doc["numeric"]["user"] == 2
 
 
+def test_diversity_names_an_underflowed_grid_point(capsys):
+    code, out, err = run(capsys, "diversity", "--M", "64", "--numeric")
+    assert code == 1 and out == ""
+    assert err == ("error: the bound underflows float64 at the grid point "
+                   "45 dB (its log is -754.197), so the secant slope has no "
+                   "value there; use a lower grid\n")
+
+
 def test_ber_writes_one_file_per_user(tmp_path, capsys):
     out_path = tmp_path / "curves.csv"
     code, _, err = run(capsys, "ber", "--M", "3", "--method", "both",

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy
+import scipy.special
 
 from lisnoma import (build_event, default_config, fit_gparams, pep_general,
                      specfun)
@@ -255,10 +256,18 @@ SINGLE_ZETAS = np.geomspace(1e-4, 1e6, 200)
 SINGLE_ZS = np.geomspace(10.05, 400.0, 200)     # all on the contour path
 
 
+# fits at which each one-argument call also builds its line cold: a
+# conjugate pair (M = 3) and a real fit (M = 6). A lone band runs its
+# saddle bracket and its doubling test on Python floats, a batch on arrays.
+COLD_M = (3, 6)
+
+
 def test_value_does_not_depend_on_the_batch():
     # on the contour path (z > 10 here, and the Chernoff kernel
     # everywhere) a value depends on its argument alone, not on what
     # shares its call; series-path values depend on their batch
+    assert fit_gparams(3, 0.5).complex_pair
+    assert not fit_gparams(6, 0.5).complex_pair
     moved = []
     for M in SINGLE_M:
         p = fit_gparams(M, 0.5)
@@ -268,7 +277,56 @@ def test_value_does_not_depend_on_the_batch():
             moved += [(M, kernel.__name__, float(v))
                       for v, b in zip(args, batch)
                       if kernel(float(v), p.a3, p.a4, p.a5) != b]
+            if M not in COLD_M:
+                continue
+            for v, b in zip(args, batch):
+                specfun._LINES.clear()
+                if kernel(float(v), p.a3, p.a4, p.a5) != b:
+                    moved.append((M, kernel.__name__, float(v), "cold"))
     assert moved == []
+
+
+def _log_by_rows(ratio, s):
+    # log F(s) as explicit row additions, one gamma factor after another
+    offset, direction, sign = ratio._columns[s.ndim]
+    terms = sign * scipy.special.loggamma(offset + direction * s)
+    out = terms[0]
+    for row in terms[1:]:
+        out = out + row
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (17,), (257,), (1, 1),
+                                   (1, 17), (3, 17), (5, 1)])
+def test_gamma_ratio_log_adds_its_factors_row_by_row(shape):
+    # the sum over the factor axis must add its rows in order, signed
+    # zeros included, on points of one and two dimensions: numpy sums a
+    # lone point's column pairwise, and a sum of negative zeros from zero
+    ratios = []
+    for M in (3, 8):
+        p = fit_gparams(M, 0.5)
+        plus, minus, den_minus = _offsets_1443(p.a3, p.a4, p.a5)
+        ratios.append(specfun._ratio(plus, minus, (), den_minus))
+        ratios.append(specfun._ratio((p.a4, p.a5), (), (p.a3,), ()))
+    # denominator factors alone, each Gamma between 1 and 2 at s = 0.9:
+    # on the real axis every factor's log has imaginary part -0
+    ratios.append(specfun._GammaRatio((), (), (0.5, 0.7), (2.5,)))
+    # one call on all the nodes, or a lone point per call at each of 33
+    size = math.prod(shape)
+    grids = ([np.linspace(0.0, 40.0, size).reshape(shape)] if size > 1
+             else [np.full(shape, v) for v in np.linspace(0.0, 40.0, 33)])
+    negative_zeros = 0
+    for ratio in ratios:
+        c = ratio.lo + 0.3 if math.isfinite(ratio.lo) else 0.9
+        for tk in grids:
+            for s in (c + 1j * tk, np.conj(c + 1j * tk)):
+                got, want = ratio.log(s), _log_by_rows(ratio, s)
+                assert got.shape == want.shape == shape
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+                negative_zeros += np.count_nonzero(
+                    (want.imag == 0) & np.signbit(want.imag))
+    assert negative_zeros > 0
 
 
 def test_node_doubling_raises_at_its_cap():
