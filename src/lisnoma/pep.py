@@ -190,21 +190,15 @@ def _log_pep_general(config: SystemConfig, user: int,
                      N0: Sequence[float]) -> np.ndarray:
     """Log of the general-M Chernoff bound for each (event, N0) pair.
 
-    All pairs go to the averaged kernel in one call, each distinct
-    argument once: a kernel value depends on its argument alone, so the
-    pairs that share an argument (a union bound's events often do) share
-    its value bit for bit.
+    All pairs go to the averaged kernel in one call.
     """
     p = fit_gparams(config.M, config.sigma2)
     zeta, log_k = _chernoff_args(p, _distance_factor(config, user, *events),
                                  events, N0)
-    back = slice(None)
-    if zeta.size > 1:
-        zeta, back = np.unique(zeta, return_inverse=True)
     log_g, sign, _ = meijer_g_1443_log(zeta, p.a3, p.a4, p.a5)
     if np.any(sign <= 0):
         raise ValueError("kernel evaluation lost positivity")
-    return (log_k + log_g)[back]
+    return log_k + log_g
 
 
 def pep_general(config: SystemConfig, user: int, event: ErrorEvent,

@@ -35,7 +35,7 @@ offsets, so it cannot change a value.
 A new line costs its gamma factors and a fixed handful of array calls:
 the saddle search hands it log|F| at its abscissa, and the scalar
 bookkeeping of a lone band or a lone argument runs on Python floats.
-Only +, -, *, /, abs, max and comparisons move to Python floats;
+Only +, -, *, /, abs, min, max and comparisons move to Python floats;
 loggamma, exp, cos, log and every row sum stay in numpy, whose vector
 loops can differ from ``math`` in the last bit, so every path gives the
 array path's bits.
@@ -47,7 +47,7 @@ import collections
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
@@ -134,20 +134,15 @@ class _GammaRatio:
                          for ndim in (1, 2)}
 
     def log(self, s):
-        """log F(s), elementwise over a 1-D or 2-D array of points s.
-
-        Every point's factors are added in row order, so its sum does not
-        depend on the other points. numpy adds the leading axis of a sum
-        row by row; starting from -0j keeps a sum of negative zeros
-        negative, as plain row additions do. A lone point's column numpy
-        would sum pairwise, so its rows are added one by one.
-        """
+        """log F(s), elementwise over a 1-D or 2-D array of points s."""
         offset, direction, sign = self._columns[s.ndim]
         terms = sp.loggamma(offset + direction * s)
         terms *= sign
-        if s.size == 1:
-            return reduce(np.add, terms)
-        return terms.sum(axis=0, initial=-0j)
+        # row by row, so every point's sum is formed in the same order
+        out = terms[0]
+        for row in terms[1:]:
+            out = out + row
+        return out
 
 
 @lru_cache(maxsize=_MAX_RATIOS)
@@ -232,18 +227,12 @@ def _row_sums(lnz, t, amp, phase):
     """sum_j amp_j cos(phase_j - t_j ln z) for each ln z.
 
     Evaluated in row blocks of at most _BLOCK entries, so peak memory
-    does not grow with the number of arguments; each block is formed in
-    place in one array. Each row is summed on its own, so its value does
-    not depend on the other rows.
+    does not grow with the number of arguments. Each row is summed on
+    its own, so its value does not depend on the other rows.
     """
     rows = max(1, _BLOCK // t.size)
-    sums = []
-    for i in range(0, lnz.size, rows):
-        block = np.multiply(lnz[i:i + rows, None], t)
-        np.subtract(phase, block, out=block)
-        np.cos(block, out=block)
-        block *= amp
-        sums.append(block.sum(axis=1))
+    sums = [(np.cos(phase - lnz[i:i + rows, None] * t) * amp).sum(axis=1)
+            for i in range(0, lnz.size, rows)]
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 

@@ -299,9 +299,10 @@ def _log_by_rows(ratio, s):
 @pytest.mark.parametrize("shape", [(1,), (2,), (17,), (257,), (1, 1),
                                    (1, 17), (3, 17), (5, 1)])
 def test_gamma_ratio_log_adds_its_factors_row_by_row(shape):
-    # the sum over the factor axis must add its rows in order, signed
-    # zeros included, on points of one and two dimensions: numpy sums a
-    # lone point's column pairwise, and a sum of negative zeros from zero
+    # log F must add its factors row by row, in order, signed zeros
+    # included, on points of one and two dimensions. numpy's sum over the
+    # factor axis would not: it sums a lone point's column pairwise, and
+    # it starts from +0, so negative zeros would sum to +0
     ratios = []
     for M in (3, 8):
         p = fit_gparams(M, 0.5)

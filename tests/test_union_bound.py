@@ -2,14 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from lisnoma import (SystemConfig, default_config, enumerate_events,
-                     pep_general, pep_m1, simulate_ber, union_bound_curve)
+from lisnoma import (SystemConfig, enumerate_events, pep_general, pep_m1,
+                     simulate_ber, union_bound_curve)
 from lisnoma.config import BPSK, SnrGrid
-from lisnoma.pdf_approx import fit_gparams
-from lisnoma.pep import _chernoff_args, _log_pep_general, _resolve_n0
 
 from conftest import THETA_AIDED, THETA_BIG, THETA_SMALL
 
@@ -108,23 +105,3 @@ def test_curve_is_the_per_event_sum_of_scalar_peps(cfg6, user):
         acc = sum(pep_general(cfg6, user, e, snr_db=s).raw
                   for e in en)
         assert r == pytest.approx(acc / len(en), rel=1e-14)
-
-
-@pytest.mark.parametrize("M", [3, 6])
-def test_pairs_sharing_an_argument_get_their_own_calls_bits(M):
-    # a union curve's event x SNR pairs share kernel arguments, and its
-    # one kernel call takes each distinct argument once; every pair's log
-    # must be the one its own call returns, bit for bit
-    cfg = default_config(M=M)
-    N0 = [_resolve_n0(s) for s in range(0, 41, 4)]
-    for user in (1, 2):
-        en = enumerate_events(cfg, user)
-        events = [ev for _ in N0 for ev in en]
-        n0s = [n0 for n0 in N0 for _ in en]
-        zeta, _ = _chernoff_args(fit_gparams(M, cfg.sigma2),
-                                 cfg.distance_factor(user), events, n0s)
-        assert np.unique(zeta).size < zeta.size
-        logs = _log_pep_general(cfg, user, events, n0s)
-        one = [_log_pep_general(cfg, user, [ev], [n0])[0]
-               for ev, n0 in zip(events, n0s)]
-        assert logs.tolist() == one
