@@ -13,6 +13,8 @@ from functools import lru_cache
 from itertools import islice
 
 import numpy as np
+# at import, so that the first quadrature loads no module while it runs
+from numpy.polynomial.legendre import leggauss
 
 # Fixed chunk size keeps streams bit-identical regardless of how callers
 # batch their draws.
@@ -323,7 +325,7 @@ class PairwiseSum:
 @lru_cache(maxsize=8)
 def _legendre_rule(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = leggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from scipy import special as sp
-
+from . import _special as sp
 from .config import SystemConfig
 from .pdf_approx import fit_gparams
 from .pep import (ErrorEvent, _chernoff_args, _distance_factor, _resolve_n0,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as sp
 
+from . import _special as sp
 from ._util import SMALL_CHUNK, sample_sums
 from .asymptotics import _normalized_probe, analytic_diversity, diversity_order
 from .channel import simulate_ber, simulate_pep

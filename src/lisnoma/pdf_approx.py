@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
+from . import _special as sp
 from ._util import match_scalar
 from .moments import Moments, analytic_moments
 from .specfun import meijer_g_2012

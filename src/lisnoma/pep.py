@@ -28,8 +28,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special as sp
 
+from . import _special as sp
 from ._util import gauss_legendre_panels
 from .config import SystemConfig
 from .moments import analytic_moments

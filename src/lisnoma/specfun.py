@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
+from . import _special as sp
 from ._util import ConvergenceError, match_scalar
 
 _LN2PI = math.log(2.0 * math.pi)

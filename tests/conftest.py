@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lisnoma
 from lisnoma import build_event, default_config
 
 # canonical BPSK event magnitudes for the reference power split (0.8, 0.2):
@@ -40,3 +44,16 @@ def event_u2(cfg):
 @pytest.fixture(scope="session")
 def event_u1_m1(cfg1):
     return build_event(cfg1, 1, (1.0, 1.0), -1.0)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a code string in a fresh interpreter that imports this tree's
+    lisnoma; returns the finished process, its output captured."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lisnoma.__file__)))
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+    return run

@@ -406,32 +406,51 @@ def test_validate_honest_exit_codes(capsys, monkeypatch):
     assert "[FAIL]" in out and "always fails" in out
 
 
-def _import_leaves_unloaded(module: str, name: str) -> bool:
+def _import_leaves_unloaded(fresh_python, module: str, name: str) -> bool:
     """Whether a fresh `import module` leaves `name` out of sys.modules."""
-    import os
-    import subprocess
-    import sys
-    import lisnoma
-    src = os.path.dirname(os.path.dirname(lisnoma.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = f"import sys, {module}; sys.exit({name!r} in sys.modules)"
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=120).returncode == 0
+    return fresh_python(code).returncode == 0
 
 
 @pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
-def test_import_leaves_scipy_optimize_unloaded(module):
+def test_import_leaves_scipy_optimize_unloaded(fresh_python, module):
     # scipy.optimize costs every command about 0.3 s of start-up; only the
     # union-bound crossing search of the validation suite needs it
-    assert _import_leaves_unloaded(module, "scipy.optimize")
+    assert _import_leaves_unloaded(fresh_python, module, "scipy.optimize")
 
 
 @pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
-def test_import_leaves_the_thread_pool_unloaded(module):
-    # the Monte Carlo substream pool imports its executor on first use;
-    # numpy.testing already loads concurrent.futures itself, so the guard
-    # is on the submodule that holds ThreadPoolExecutor
-    assert _import_leaves_unloaded(module, "concurrent.futures.thread")
+def test_import_leaves_scipy_special_unloaded(fresh_python, module):
+    # the package import costs about 0.2 s and 23 MB resident in its
+    # array-API layer; lisnoma._special loads the ufuncs' extension alone
+    assert _import_leaves_unloaded(fresh_python, module, "scipy.special")
+
+
+@pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
+def test_import_leaves_the_thread_pool_unloaded(fresh_python, module):
+    # the Monte Carlo substream pool imports its executor on first use
+    assert _import_leaves_unloaded(fresh_python, module, "concurrent.futures")
+
+
+def test_deterministic_calls_load_no_module(fresh_python):
+    # a module a closed form or referee loads on first use would be timed
+    # inside the first command or benchmark round that calls it
+    code = """if True:
+        import sys
+        import numpy as np
+        import lisnoma
+        cfg = lisnoma.default_config(M=3)
+        event = lisnoma.build_event(cfg, 1, (1.0, 1.0), -1.0)
+        before = set(sys.modules)
+        lisnoma.pep_quadrature(cfg, 1, event, snr_db=10.0)
+        lisnoma.pep_general(cfg, 1, event, snr_db=10.0)
+        lisnoma.pdf_g(np.linspace(0.0, 10.0, 41),
+                      lisnoma.fit_gparams(3, cfg.sigma2))
+        lisnoma.union_bound_curve(cfg, 2, (0.0, 10.0, 20.0))
+        sys.exit(" ".join(sorted(set(sys.modules) - before)) or None)
+    """
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pep_quadrature_rows_carry_a_relative_tolerance(capsys,
