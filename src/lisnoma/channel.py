@@ -7,23 +7,18 @@ in fixed-size chunks with per-chunk substreams, and the substreams run on
 a pool of one thread per CPU (`_util.substreams`) while the caller folds
 their partial sums in substream order. So identical inputs give
 bit-identical outputs no matter how the work is batched or how many CPUs
-run it. Plain sampling draws through `_util.element_blocks`, which
-replays the first hop from a copy of the generator beside the second, so
-a substream allocates a few blocks of element magnitudes for itself, not
-a whole hop; no scratch passes between substreams. A lone substream,
-such as a plain `simulate_pep` point of up to one chunk, runs in the
-calling thread and lends one pool worker the blocks' arithmetic while
-it walks the generator. Its consumers fold one block of rows at a time,
-in the substream's thread. Plain `simulate_pep` holds no chunk-length
-array: it runs the conditional kernel on each block and folds the values
-and their squares with `_util.PairwiseSum`, which gives the bits of
-numpy's sum over the whole chunk. `simulate_ber` keeps the gains q,
-beside one small-integer symbol index per frame and user; the link's
-symbols, noise and SIC decisions go block by block. Tilted `simulate_pep`
-draws each chunk's (3, M, rows) uniforms a group of element rows at a
-time (`_tilt_uniforms`), folds each group into the chunk's sums over
-elements, and runs the conditional kernel in the calling thread, one
-chunk at a time.
+run it. Plain sampling draws through `_util.element_sums`, which takes
+each block's first hop and then its second from the chunk's generator,
+so a substream allocates two blocks of element magnitudes for itself,
+not a whole hop; no scratch passes between substreams. `simulate_ber`
+keeps the gains q, beside one small-integer symbol index per frame and
+user; the link's symbols, noise and SIC decisions go block by block.
+`simulate_pep` substreams return a chunk's gains, plain or tilted with
+their weights, and the calling thread runs the conditional kernel on
+each chunk in turn and folds the values and their squares with
+`np.sum`. Tilted substreams draw their (M, 3, rows) uniforms a group of
+element rows at a time (`_tilt_uniforms`) and fold each group into the
+chunk's sums over elements.
 """
 
 from __future__ import annotations
@@ -35,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import (_BLOCK, CHUNK, PairwiseSum, chunk_counts, chunk_rng,
-                    element_blocks, element_sums, sample_sums, substreams,
-                    wilson_interval)
+from ._util import (_BLOCK, CHUNK, chunk_counts, chunk_rng, element_sums,
+                    sample_sums, substreams, wilson_interval)
 from .config import SystemConfig
 from .moments import analytic_moments
 from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
@@ -188,46 +182,19 @@ _TILT_DRAW = 1 << 16
 
 
 def _tilt_uniforms(rng: np.random.Generator, M: int, n: int):
-    """Yield the uniforms of ``rng.random((3, M, n))``, G element rows of
-    each plane at a time.
+    """Yield the uniforms of ``rng.random((M, 3, n))``, G element rows at
+    a time, as (3, G, n) views that the next yield overwrites.
 
-    Each yield is a (3, G, n) view, G = min(M, max(1, ``_TILT_DRAW`` //
-    n)) rows and fewer in the last group, which the next yield
-    overwrites. ``rng`` jumps between the planes: ``random`` takes one
-    64-bit word per double, so row j of plane p starts (p M + j) n words
-    into the stream, and ``advance`` counts steps modulo the PCG64 period
-    of 2^128, so a jump back is the period less its length (where one
-    group holds every row, each jump is 0). The values equal the whole
-    draw's, and ``rng`` ends where the whole draw leaves a generator with
-    no buffered 32-bit half, as every ``chunk_rng`` is.
+    G = min(M, max(1, ``_TILT_DRAW`` // n)), fewer in the last group.
+    Each group is one draw in stream order, so the groups together are
+    the whole draw's values, and ``rng`` ends where the whole draw leaves
+    it.
     """
     G = min(M, max(1, _TILT_DRAW // n))
-    u = np.empty((3, G, n))
-    at = 0                      # words of the stream taken so far
+    buf = np.empty(G * 3 * n)
     for j in range(0, M, G):
-        g = min(G, M - j)
-        for p in range(3):
-            start = (p * M + j) * n
-            rng.bit_generator.advance((start - at) % (1 << 128))
-            rng.random(out=u[p, :g])
-            at = start + g * n
-        yield u[:, :g]
-
-
-def _add_rows(acc: np.ndarray, rows: np.ndarray, first: bool):
-    """Fold a group of element rows into their sums ``acc``, in the bits
-    of the whole draw's ``sum(axis=0)``.
-
-    The first group sets ``acc`` to numpy's own sum of its rows, which is
-    pairwise over M when n = 1, where one group holds every row. With
-    n > 1 numpy adds the rows of an (M, n) array one by one in row order,
-    from zero, so each later group's rows are added to ``acc`` in turn.
-    """
-    if first:
-        rows.sum(axis=0, out=acc)
-    else:
-        for row in rows:
-            acc += row
+        u = rng.random(out=buf[:min(G, M - j) * 3 * n].reshape(-1, 3, n))
+        yield u.transpose(1, 0, 2)
 
 
 def _auto_tilt(M: int, r: float) -> float:
@@ -261,10 +228,9 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     the element products and their hop split only, never on the raw
     magnitudes, which is what makes deep-tail points reachable at any M.
     Tilting is skipped for flagged events, where the estimand is not
-    small, and kappa = 1 is plain sampling. Either way a substream holds
-    no array as long as its chunk beyond the tilted sums and weights: a
-    plain one folds its values block by block, a tilted one draws its
-    uniforms a group of element rows at a time.
+    small, and kappa = 1 is plain sampling. A plain substream returns
+    its chunk's gains; a tilted one draws its uniforms a group of element
+    rows at a time and returns its chunk's gains and weights.
     """
     event = interference
     rd = math.sqrt(_distance_factor(config, user, event))
@@ -290,68 +256,55 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     chunk = CHUNK if kappa == 1.0 else _TILT_CHUNK
 
     def draw(key):
-        """One substream's sums of values and squares, or tilted sums and
-        weights."""
+        """One substream's gains, and its weights when tilted."""
         idx, n = key
         rng = chunk_rng(seed, idx)
         if kappa == 1.0:
-            fold, fold2 = PairwiseSum(n), PairwiseSum(n)
-            for _, _, q in element_blocks(rng, n, M, scale):
-                q /= rd
-                vals = pep_conditional(q, event, N0=N0)
-                fold.add(vals)
-                vals *= vals        # the bits of (vals * vals).sum()
-                fold2.add(vals)
-            return fold.total(), fold2.total(), n
-        # Three uniforms on (0, 1] per element, element-major so that sums
-        # over elements are row adds: w / s = -ln(u1 u2) is Gamma(2, 1),
-        # and |rho| = -2 ln u3 is Exp with mean b = 2, so |rho| / b =
-        # -ln u3 and 2 cosh rho = u3^-2 + u3^2. Each group of element
-        # rows adds into the sums of -w / s, -|rho| / b and -2 w cosh rho
-        # / s over elements.
-        sums = np.empty((3, n))
-        for k, u in enumerate(_tilt_uniforms(rng, M, n)):
+            return element_sums(rng, n, M, scale), None
+        # Three uniforms on (0, 1] per element: w / s = -ln(u1 u2) is
+        # Gamma(2, 1), and |rho| = -2 ln u3 is Exp with mean b = 2, so
+        # |rho| / b = -ln u3 and 2 cosh rho = u3^-2 + u3^2. Each group of
+        # element rows adds into the sums of -w / s, -|rho| / b and
+        # -2 w cosh rho / s over elements.
+        sums = np.zeros((3, n))
+        for u in _tilt_uniforms(rng, M, n):
             np.subtract(1.0, u, out=u)
             u1, u2, u3 = u
             u1 *= u2
             np.log(u1, out=u1)                # -w / s
             np.log(u3, out=u2)                # -|rho| / b
-            _add_rows(sums[0], u1, k == 0)
-            _add_rows(sums[1], u2, k == 0)
+            sums[0] += u1.sum(axis=0)
+            sums[1] += u2.sum(axis=0)
             u3 *= u3
             np.reciprocal(u3, out=u2)
             u2 += u3                          # 2 cosh rho
             u2 *= u1
-            _add_rows(sums[2], u2, k == 0)
+            sums[2] += u2.sum(axis=0)
         g_sum = -sums[0]
         logw = log_norm + g_sum - sums[1]
         logw += s * sums[2]
         return (2.0 * sigma2 * s) * g_sum, np.exp(logw)
 
-    # the substreams draw on the pool and fold in substream order; the
-    # plain ones run the conditional kernel block by block as they draw
-    # and return their sums, the tilted ones leave it to this thread, one
-    # chunk at a time
+    # the substreams draw on the pool; this thread runs the conditional
+    # kernel on each chunk in substream order, so its calls come one at a
+    # time, and folds the values
     total = 0.0
     total2 = 0.0
     wsum = 0.0
     w2sum = 0.0
-    for part in substreams(draw, chunk_counts(trials, chunk)):
-        if kappa == 1.0:
-            sv, sv2, n = part
-            wsum += n
-            w2sum += n
+    for vals, w in substreams(draw, chunk_counts(trials, chunk)):
+        vals /= rd
+        vals = pep_conditional(vals, event, N0=N0)
+        if w is None:
+            wsum += vals.size
+            w2sum += vals.size
         else:
-            vals, w = part
-            vals /= rd              # tilted draws return the sums
-            vals = w * pep_conditional(vals, event, N0=N0)
+            vals *= w
             wsum += float(w.sum())
             w2sum += float((w * w).sum())
-            sv = float(vals.sum())
-            vals *= vals
-            sv2 = float(vals.sum())
-        total += sv
-        total2 += sv2
+        total += float(vals.sum())
+        vals *= vals
+        total2 += float(vals.sum())
 
     mean = total / trials
     var = max(0.0, total2 / trials - mean * mean)

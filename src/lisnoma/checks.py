@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _special as sp
-from ._util import SMALL_CHUNK, sample_sums
+from ._util import sample_sums
 from .asymptotics import _normalized_probe, analytic_diversity, diversity_order
 from .channel import simulate_ber, simulate_pep
 from .config import SystemConfig, default_config
@@ -156,7 +156,7 @@ def check_density_fit(quick: bool = False):
         params = fit_gparams(M, sigma2)
         hi = quadrature_domain(M, sigma2)
         xs, cdf = density_cdf_table(lambda x: pdf_g(x, params), hi)
-        sample = sample_sums(M, sigma2, samples, 303 + M, SMALL_CHUNK)
+        sample = sample_sums(M, sigma2, samples, 303 + M)
         ks = ks_statistic(sample, xs, cdf)
         if ks > worst[1]:
             worst = (f"M={M}", ks)
@@ -182,7 +182,7 @@ def check_density_fit(quick: bool = False):
         return
     M = 15
     mom = analytic_moments(M, sigma2)
-    sample = np.sort(sample_sums(M, sigma2, samples, 404, SMALL_CHUNK))
+    sample = np.sort(sample_sums(M, sigma2, samples, 404))
     z = (sample - mom.mu1) / math.sqrt(mom.variance)
     ks = ks_distance(sp.ndtr(z))
     # the residual skew of a 15-term sum is above the threshold; real gap,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (SMALL_CHUNK, chunk_counts, chunk_rng, element_sums,
-                    substreams)
+from ._util import chunk_counts, chunk_rng, element_sums, substreams
 
 _PI = math.pi
 
@@ -130,8 +129,7 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
 
     sums = []
     counts = []
-    for part in substreams(chunk_sums,
-                           chunk_counts(int(samples), SMALL_CHUNK)):
+    for part in substreams(chunk_sums, chunk_counts(int(samples))):
         for row, count in part:
             sums.append(row)
             counts.append(count)

@@ -4,10 +4,9 @@ The digests below pin the random streams: each is the sha256 of the
 float64 bytes a path returns for a fixed seed. Every count spans more
 than one substream chunk, so a short final chunk is covered as well,
 and the substreams run on the pool at any CPU count above one. The
-plain consumers fold the sampler's output one block at a time; each is
-checked against a whole-chunk reference, at two CPUs, where a count of
-up to one chunk runs as a lone substream whose sampler borrows a pool
-worker.
+sampler is checked against two whole `rng.rayleigh` draws per block,
+and each consumer against a whole-chunk reference drawn that way, at
+two CPUs.
 """
 
 import hashlib
@@ -26,15 +25,15 @@ from lisnoma import (SystemConfig, build_event, default_config,
                      empirical_moments, sample_cascade, simulate_ber,
                      simulate_pep)
 from lisnoma import _util
-from lisnoma._util import (CHUNK, SMALL_CHUNK, chunk_counts, chunk_rng,
-                           sample_sums)
-from lisnoma.channel import (_TILT_CHUNK, _TILT_DRAW, _add_rows,
-                             _slice_symbols, _tilt_uniforms)
+from lisnoma._util import CHUNK, chunk_counts, chunk_rng, sample_sums
+from lisnoma.channel import (_TILT_CHUNK, _TILT_DRAW, _slice_symbols,
+                             _tilt_uniforms)
 from lisnoma.pep import _resolve_n0, pep_conditional
 
-SMALL = 1 << 18     # rows per substream of the moment and density checks
-# counts around one sampler block and one chunk, with a short last chunk
-COUNTS = [1, 4095, 4096, 4097, CHUNK + 333]
+SMALL = 1 << 18     # four chunks
+BIG = 1 << 20       # sixteen chunks
+# counts around one sampler block, and sixteen chunks with a short last one
+COUNTS = [1, 4095, 4096, 4097, BIG + 333]
 
 _R5 = math.sqrt(5.0)
 # three users, the middle one on a unit-energy 4-PAM alphabet: the slicer
@@ -46,29 +45,29 @@ L3 = SystemConfig(M=4, d_R=(4.0, 2.5, 1.5), P=(0.8, 0.18, 0.02),
 
 GOLDEN = {
     "sample_cascade.s":
-        "68e5017c258b9cfd1b347a401cc28129aaf6b32c012bd845182178f7fae55e54",
+        "33c15cc2b9442bf87071fa40c7d94e0de105886f4d235e3ab1c415b9a6df27f5",
     "sample_cascade.q":
-        "264c06c97a39da71fe7a6f7db62b0902839a1fe57dc6d68e03f477a520276944",
+        "832d35087fa34f0c2baffe9e58db401c8d0299467cffa81804f989e27eb70509",
     "simulate_pep":
-        "a11a274ad878476bc25824faad16a987e6bfca0d7856ff76fb7ecfe1f4c2df6e",
+        "089383a42dcb3b65a17d0b841d2c909f611746d1bcc03aec9b120561798fa428",
     "simulate_ber":
-        "5ef317f090f9135a9af20f7f6edf5a2f7d1e03ddc53f7726fb14c0c9276a0d97",
+        "1fd7066b55779346e0055949dc10613f7cbec1aaec9c1239b20eb542c2d45e45",
     "empirical_moments.mu":
-        "4584ef3ee64a00d2e5897e415e36dc58e439f6ccc30c027dc205b9cf1b9105e6",
+        "cfd706fbeed63c515ce338e3cb4c1b0c4d59a1ffb4f03929724c85fcfe66de6a",
     "empirical_moments.se":
-        "47e8020240c96a5ef815eabb62d337be335a94298d0eda81f0adc1f2966a34d5",
+        "cda04d11ad0a86c046cb1aca9d3db7f2cc9ad22e1db9981ae68f1953838c8226",
     "check3_draw":
-        "190618e0edf84ed8ca508fc6f00f0cd1e80d0c940cb94a153d7ca5b7bf1f133f",
+        "b0fbddcd2df09bcabde5a9e0fd6300e2ba9c645bc56a35f9eed90bdaab92af88",
     "simulate_pep.tilted.M3":
-        "ac942d01e3545b67d9a241ed91ed43cfa809d9bc4995d1442ac720dacb85a1d4",
+        "91230f0f156e68f406a51d6d8595145dbedd5f1415a62e640af9e834d90773ef",
     "simulate_pep.tilted.M15":
-        "aacb38a8e1268055a7aaea9ca77e12a51adf8621b253a9bd2e20f8f15a09bd3b",
+        "7f8eb25c077b8738e61b40016b295849a3d11037e8d6f251eba463e9ceed3f6d",
     "simulate_ber.grid":
-        "e149ed4f7487723ecdc67ee99fd8e012c585c874ab7a27e6e942aaac4a155c99",
+        "037b0a5958fab10fbe186de3805e58c3aebc03af79d48e1916d5888d38470b7d",
     "sample_sums.M15":
-        "cd3da5afead21dfba6a7ca2d608b6839c1dacb32907916b2d736a8df91ec98f3",
+        "5020dfb5796985e9be47750d9971c3e93da9405464c3205b6947569e5267468e",
     "simulate_ber.L3":
-        "9303e8e92acb080735e1b15300defaab1a149b54f21e1f32f1574df1c6893724",
+        "c5b503e4c400bed845f8eebe24a3dc3672939f53e2092ecb589693c93d6cb6aa",
 }
 
 
@@ -79,12 +78,12 @@ def _digest(values) -> str:
 
 def _digests() -> dict:
     cfg = default_config(M=3)
-    batch = sample_cascade(cfg, 2, CHUNK + 4097, seed=7)
+    batch = sample_cascade(cfg, 2, BIG + 4097, seed=7)
     cfg15 = default_config(M=15)
     ev = build_event(cfg15, 1, (1.0, 1.0), -1.0)
     est = simulate_pep(cfg15, 1, interference=ev, snr_db=5.0,
-                       trials=CHUNK + 1001, seed=5, importance=False)
-    ber = simulate_ber(default_config(M=2), (6.0,), frames=CHUNK + 333,
+                       trials=BIG + 1001, seed=5, importance=False)
+    ber = simulate_ber(default_config(M=2), (6.0,), frames=BIG + 333,
                        seed=9)
     emp = empirical_moments(4, 0.5, samples=2 * SMALL + 777, seed=3)
     tilted = {}
@@ -97,8 +96,8 @@ def _digests() -> dict:
         assert e.kappa < 1.0
         tilted[M] = [e.value, e.se, e.ess, e.kappa]
     grid = simulate_ber(default_config(M=2), (0.0, 6.0, 12.0),
-                        frames=CHUNK + 333, seed=11)
-    ber3 = simulate_ber(L3, (20.0,), frames=CHUNK + 333, seed=19)
+                        frames=BIG + 333, seed=11)
+    ber3 = simulate_ber(L3, (20.0,), frames=BIG + 333, seed=19)
     return {
         "sample_cascade.s": _digest(batch.s),
         "sample_cascade.q": _digest(batch.q),
@@ -106,13 +105,12 @@ def _digests() -> dict:
         "simulate_ber": _digest([c.errors for c in ber.values()]),
         "empirical_moments.mu": _digest(emp.mu),
         "empirical_moments.se": _digest(emp.se),
-        "check3_draw": _digest(sample_sums(6, 0.5, SMALL + 999, 309,
-                                           SMALL_CHUNK)),
+        "check3_draw": _digest(sample_sums(6, 0.5, SMALL + 999, 309)),
         "simulate_pep.tilted.M3": _digest(tilted[3]),
         "simulate_pep.tilted.M15": _digest(tilted[15]),
         "simulate_ber.grid": _digest([c.errors for c in grid.values()]),
         "sample_sums.M15": _digest(sample_sums(15, 0.5, 3 * SMALL + 999,
-                                               311, SMALL_CHUNK)),
+                                               311)),
         "simulate_ber.L3": _digest([c.errors for c in ber3.values()]),
     }
 
@@ -132,9 +130,9 @@ def test_streams_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
 def test_forked_child_starts_its_own_pool(monkeypatch):
     # a child forked after the parent's pool ran inherits its state but
     # not its threads; reusing that pool would wait forever, whether for
-    # three substreams or for the worker that a lone one borrows
+    # three substreams or for a lone one
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
-    args = [(3, 0.5, 3000, 1, 1000), (3, 0.5, 3 * 4096 + 5, 1)]
+    args = [(3, 0.5, 2 * CHUNK + 5, 1), (3, 0.5, 3 * 4096 + 5, 1)]
     want = [sample_sums(*a) for a in args]
     with multiprocessing.get_context("fork").Pool(1) as pool:
         for a, w in zip(args, want):
@@ -142,24 +140,37 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
             assert np.array_equal(got.get(timeout=60), w)
 
 
+def _block_sums(rng, n, M, scale):
+    """The cascade sums as the sampler lays out its stream: each block of
+    rows takes a whole (rows x M) Rayleigh draw of h, then one of g."""
+    sums = []
+    for a in range(0, n, _util._BLOCK):
+        rows = min(n, a + _util._BLOCK) - a
+        h = rng.rayleigh(scale, (rows, M))
+        sums.append((h * rng.rayleigh(scale, (rows, M))).sum(axis=1))
+    return np.concatenate(sums)
+
+
 @pytest.mark.parametrize("M", [1, 3, 15, 64])
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
 def test_element_sums_equal_two_whole_rayleigh_draws(M, n):
-    # the replayed first hop must take the stream positions of a whole
-    # first draw, and leave the generator where two whole draws leave it
+    # each block's sums are those of two whole Rayleigh draws of its rows,
+    # h then g, and the generator ends where those draws leave it; a g
+    # that repeated h, or a block drawn out of turn, fails here
     want_rng = np.random.default_rng(17)
-    want = (want_rng.rayleigh(0.7, (n, M))
-            * want_rng.rayleigh(0.7, (n, M))).sum(axis=1)
+    want = _block_sums(want_rng, n, M, 0.7)
     rng = np.random.default_rng(17)
     got = _util.element_sums(rng, n, M, 0.7)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_draw_peak_does_not_grow_with_the_element_count():
-    # the sums s and gains q take 2 n floats and the sampler's two blocks
-    # the rest, at any M; one whole (n x M) hop alone is 8 n floats at M = 8
-    n = CHUNK
+def test_draw_peak_does_not_grow_with_the_element_count(monkeypatch):
+    # the sums s and gains q take 2 n floats; while they are drawn, each
+    # of the two running substreams holds two blocks of M floats, 0.5 n
+    # at M = 64; one whole (n x M) hop alone is 8 n floats at M = 8
+    monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
+    n = BIG
     for M in (8, 64):
         tracemalloc.start()
         try:
@@ -182,32 +193,33 @@ def test_block_normal_draws_equal_one_whole_draw(n):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _block_loop(rng, n, M):
+    """``element_sums`` called once per block of rows, in order."""
+    return np.concatenate([
+        _util.element_sums(rng, min(n, a + _util._BLOCK) - a, M, 0.7)
+        for a in range(0, n, _util._BLOCK)])
+
+
 @pytest.mark.parametrize("n", COUNTS)
 def test_block_loop_yields_the_element_sums_in_order(n):
+    # a block's draws follow the last block's in the stream, so one call
+    # over n rows equals one call per block, into ``out`` or not
     want_rng = np.random.default_rng(29)
-    want = _util.element_sums(want_rng, n, 3, 0.7)
+    want = _block_loop(want_rng, n, 3)
     rng = np.random.default_rng(29)
-    out = np.empty(n)
-    got, end = [], 0
-    for a, b, sums in _util.element_blocks(rng, n, 3, 0.7, out):
-        assert a == end and sums.base is out
-        got.append(sums.copy())
-        sums[:] = -1.0          # a caller may overwrite its block
-        end = b
-    assert end == n
-    assert np.array_equal(np.concatenate(got), want)
+    out = np.full(n, np.nan)
+    assert _util.element_sums(rng, n, 3, 0.7, out) is out
+    assert np.array_equal(out, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
-# A lone substream with two CPUs: the calling thread walks the generator
-# and one borrowed pool worker finishes each block. The full chunk runs
-# at M <= 3 only, where the reference's two whole draws stay small; nine
-# blocks and a short one cycle the four ring slots at every M.
+# Substreams with two CPUs, where every key, a lone one too, runs on the
+# pool: the full count runs at M <= 3 only, where the reference's draws
+# stay small.
 
 def _lone(fn):
-    """``fn()`` run as the only key of ``substreams``, in a thread of its
-    own that must end within a minute; a worker the sampler never let go
-    would otherwise hang the next lone call."""
+    """``fn()`` run as the only key of ``substreams``, from a thread of
+    its own that must end within a minute."""
     ended = []
 
     def run():
@@ -229,7 +241,7 @@ def _lone(fn):
 
 def _assert_pool_idle(workers=2):
     # every worker of the pool must take one of these at once; a worker
-    # still held by a sampler breaks the barrier
+    # still held by a substream breaks the barrier
     barrier = threading.Barrier(workers)
     pool = _util._pool(workers, os.getpid())
     for task in [pool.submit(barrier.wait, 30) for _ in range(workers)]:
@@ -241,46 +253,28 @@ def _assert_pool_idle(workers=2):
                          + [(1, COUNTS[-1]), (3, COUNTS[-1])])
 def test_lone_substream_sums_equal_two_whole_rayleigh_draws(monkeypatch, M,
                                                             n):
+    # a lone key runs on a pool worker, which draws the same bits
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
-    finish, threads = _util._finish, set()
-
-    def spy(*args):
-        threads.add(threading.current_thread().name)
-        finish(*args)
-
-    monkeypatch.setattr(_util, "_finish", spy)
     want_rng = np.random.default_rng(17)
-    want = (want_rng.rayleigh(0.7, (n, M))
-            * want_rng.rayleigh(0.7, (n, M))).sum(axis=1)
+    want = _block_sums(want_rng, n, M, 0.7)
     rng = np.random.default_rng(17)
-    got = _lone(lambda: _util.element_sums(rng, n, M, 0.7))
+    got, thread = _lone(lambda: (_util.element_sums(rng, n, M, 0.7),
+                                 threading.current_thread().name))
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
-    assert len(threads) == 1 and threads.pop().startswith("lisnoma")
+    assert thread.startswith("lisnoma")
 
 
 @pytest.mark.parametrize("n", COUNTS)
 def test_lone_block_loop_yields_the_sums_in_order(monkeypatch, n):
-    # each block is handed back finished, in order, while the worker may
-    # be writing later rows of the same array
+    # the block loop, run as a lone substream on the pool, equals one
+    # call over n rows in this thread
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
     want_rng = np.random.default_rng(29)
     want = _util.element_sums(want_rng, n, 3, 0.7)
     rng = np.random.default_rng(29)
-    out = np.empty(n)
-
-    def consume():
-        got, end = [], 0
-        for a, b, sums in _util.element_blocks(rng, n, 3, 0.7, out):
-            assert a == end and sums.base is out
-            got.append(sums.copy())
-            sums[:] = -1.0
-            end = b
-        return end, got
-
-    end, got = _lone(consume)
-    assert end == n
-    assert np.array_equal(np.concatenate(got), want)
+    got = _lone(lambda: _block_loop(rng, n, 3))
+    assert np.array_equal(got, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -288,62 +282,47 @@ def test_lone_block_loop_yields_the_sums_in_order(monkeypatch, n):
 @pytest.mark.parametrize("n", COUNTS[:-1] + [9 * 4096 + 5])
 def test_block_loop_without_out_keeps_each_slot_until_the_next(monkeypatch,
                                                                 cpus, n):
-    # without ``out`` each block's sums sit in the output slot paired with
-    # its ring slot; the consumer waits before it reads each block, so a
-    # worker that ran ahead into a slot still in use would show
+    # without ``out`` each substream's sums are a new array: the consumer
+    # waits before it reads each one, so substreams that ran ahead into
+    # shared scratch would show
     monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
-    want_rng = np.random.default_rng(29)
-    want = _util.element_sums(want_rng, n, 3, 0.7)
-    rng = np.random.default_rng(29)
-
-    def consume():
-        got, end = [], 0
-        for a, b, sums in _util.element_blocks(rng, n, 3, 0.7):
-            assert a == end and sums.size == b - a
-            time.sleep(0.002)
-            got.append(sums.copy())
-            end = b
-        return end, got
-
-    end, got = _lone(consume)
-    assert end == n
-    assert np.array_equal(np.concatenate(got), want)
-    assert rng.bit_generator.state == want_rng.bit_generator.state
+    want = [_util.element_sums(np.random.default_rng(s), n, 3, 0.7)
+            for s in range(6)]
+    got = []
+    for sums in _util.substreams(lambda s: _util.element_sums(
+            np.random.default_rng(s), n, 3, 0.7), range(6)):
+        assert sums.size == n
+        time.sleep(0.002)
+        got.append(sums)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len({id(g) for g in got}) == 6
 
 
 @pytest.mark.parametrize("stop", ["after one block", "by raising"])
 def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
-    # a slow worker still has blocks in hand when the consumer stops, so
-    # a loop that did not join it would see rows written after it ended
+    # the consumer stops while slow substreams it no longer waits for are
+    # still running or queued; they end on their own, and the pool then
+    # runs the next call
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
-    finish = _util._finish
-
-    def slow(*args):
-        time.sleep(0.01)
-        finish(*args)
-
-    monkeypatch.setattr(_util, "_finish", slow)
     n = 9 * 4096
-    out = np.full(n, np.nan)
+
+    def slow(s):
+        time.sleep(0.01)
+        return _util.element_sums(np.random.default_rng(s), n, 3, 0.7)
 
     def consume():
-        for _ in _util.element_blocks(np.random.default_rng(3), n, 3, 0.7,
-                                      out):
+        for _ in _util.substreams(slow, range(8)):
             if stop == "by raising":
                 raise KeyError("consumer")
             break
 
     if stop == "by raising":
         with pytest.raises(KeyError, match="consumer"):
-            _lone(consume)
+            consume()
     else:
-        _lone(consume)
-    ended = out.copy()
-    time.sleep(0.1)
-    assert np.array_equal(out, ended, equal_nan=True)
+        consume()
     _assert_pool_idle()
 
-    monkeypatch.setattr(_util, "_finish", finish)
     want = _util.element_sums(np.random.default_rng(5), n, 3, 0.7)
     assert np.array_equal(_lone(lambda: _util.element_sums(
         np.random.default_rng(5), n, 3, 0.7)), want)
@@ -379,29 +358,37 @@ def test_lone_substreams_of_more_threads_than_workers(monkeypatch):
 
 def test_lone_worker_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
-    finish, calls = _util._finish, []
+    calls = []
 
-    def fail_third(*args):
+    def fail():
         calls.append(threading.current_thread().name)
-        if len(calls) == 3:
-            raise FloatingPointError("worker")
-        finish(*args)
+        raise FloatingPointError("worker")
 
-    monkeypatch.setattr(_util, "_finish", fail_third)
     with pytest.raises(FloatingPointError, match="worker"):
-        _lone(lambda: _util.element_sums(np.random.default_rng(7),
-                                         9 * 4096, 3, 0.7))
-    assert calls[-1].startswith("lisnoma")
+        _lone(fail)
+    assert calls == [calls[0]] and calls[0].startswith("lisnoma")
     _assert_pool_idle()
 
 
+def test_plain_point_bits_do_not_depend_on_the_cpu_count(monkeypatch):
+    # a 2^20-trial point spans sixteen substreams, which one, two or
+    # three workers share out differently; the chunks' sums are added in
+    # key order either way
+    cfg = default_config(M=15)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
+        est = simulate_pep(cfg, 1, interference=ev, snr_db=10.0,
+                           trials=BIG, seed=53)
+        got.append((est.value.hex(), est.se.hex()))
+    assert est.kappa == 1.0
+    assert got[0] == got[1] == got[2]
+
+
 # Whole-chunk references: the consumers as they were written before they
-# streamed, each holding its chunk's arrays whole.
-
-def _whole_sums(rng, n, M, scale):
-    return (rng.rayleigh(scale, (n, M))
-            * rng.rayleigh(scale, (n, M))).sum(axis=1)
-
+# streamed, each holding its chunk's arrays whole, on the sampler's
+# stream layout.
 
 def _pep_reference(config, user, event, snr_db, trials, seed):
     rd = math.sqrt(config.distance_factor(user))
@@ -409,7 +396,7 @@ def _pep_reference(config, user, event, snr_db, trials, seed):
     scale = math.sqrt(config.sigma2)
     total = total2 = 0.0
     for idx, n in chunk_counts(trials):
-        s_sum = _whole_sums(chunk_rng(seed, idx), n, config.M, scale)
+        s_sum = _block_sums(chunk_rng(seed, idx), n, config.M, scale)
         s_sum /= rd
         vals = np.asarray(pep_conditional(s_sum, event, N0=N0))
         total += float(vals.sum())
@@ -431,7 +418,7 @@ def _ber_reference(config, snr_db, frames, seed):
             tx = sum(r * x for r, x in zip(roots, xs))
             for user in range(1, config.L + 1):
                 rng = chunk_rng(seed, pi, user, idx)
-                q = _whole_sums(rng, n, config.M, scale)
+                q = _block_sums(rng, n, config.M, scale)
                 q /= math.sqrt(config.distance_factor(user))
                 residual = q * tx + rng.normal(0.0, nstd, n)
                 for i in range(user - 1):
@@ -447,8 +434,8 @@ def _ber_reference(config, snr_db, frames, seed):
 def _moments_reference(M, sigma2, samples, seed):
     block = max(2500, -(-samples // 64))
     sums, counts = [], []
-    for idx, n in chunk_counts(samples, SMALL_CHUNK):
-        s = _whole_sums(chunk_rng(seed, idx), n, M, math.sqrt(sigma2))
+    for idx, n in chunk_counts(samples):
+        s = _block_sums(chunk_rng(seed, idx), n, M, math.sqrt(sigma2))
         p = np.empty((4, n))
         p[0] = s
         for k in range(1, 4):
@@ -489,7 +476,7 @@ def test_link_simulation_equals_its_whole_chunk_reference(monkeypatch, n):
 # empirical_moments takes at least MIN_SAMPLES; the counts give one short
 # jackknife block, a chunk ending in a short block, and blocks wider than
 # numpy's 8,192-element reduction buffer
-@pytest.mark.parametrize("n", [10_000, SMALL_CHUNK + 333, CHUNK + 333])
+@pytest.mark.parametrize("n", [10_000, SMALL + 333, BIG + 333])
 def test_sampled_moments_equal_their_whole_chunk_reference(monkeypatch, n):
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
     got = empirical_moments(2, 0.5, samples=n, seed=41)
@@ -511,32 +498,33 @@ def _plain_pep(trials):
     return simulate_pep(cfg, 1, interference=ev, snr_db=5.0, trials=trials)
 
 
-@pytest.mark.parametrize("run, n, bound", [
-    (lambda n: simulate_ber(default_config(M=6), (6.0,), frames=n), SMALL,
+@pytest.mark.parametrize("run, M, bound", [
+    (lambda M: simulate_ber(default_config(M=M), (6.0,), frames=SMALL), 6,
      2.0),
-    (lambda n: empirical_moments(15, 0.5, samples=n), SMALL, 2.0),
+    (lambda M: empirical_moments(M, 0.5, samples=SMALL), 15, 2.0),
 ], ids=["ber", "moments"])
-def test_consumers_hold_one_chunk_array(monkeypatch, run, n, bound):
-    # at one CPU a consumer keeps one n-float array beside the sampler's
-    # blocks: the gains q (and one index draw) for the link simulator,
-    # the sums for the moments; whole-chunk folds peaked at about 11 and
-    # 6 such arrays
+def test_consumers_hold_one_chunk_array(monkeypatch, run, M, bound):
+    # at one CPU a consumer keeps one chunk-length float array beside the
+    # sampler's two blocks of M floats: the gains q (and one index draw)
+    # for the link simulator, the sums for the moments, over four chunks;
+    # whole-chunk folds peaked at about 11 and 6 such arrays
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
-    assert _traced_peak(lambda: run(n)) <= bound * n * 8
+    assert _traced_peak(lambda: run(M)) <= (bound * CHUNK
+                                            + 2 * M * _util._BLOCK) * 8
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_plain_pep_holds_no_chunk_array(monkeypatch, cpus):
-    # a plain substream folds each block's conditional values as it draws
-    # them, so at CHUNK trials it holds the sampler's blocks of M floats
-    # (the ring and the replay block: two at one CPU, five when the lone
-    # substream borrows a worker), an output slot per ring slot, and at
-    # most eight block-length temporaries of the kernel and the two
-    # folds; keeping the n conditional values took 8 MB more
+def test_plain_pep_holds_its_pending_chunks(monkeypatch, cpus):
+    # the calling thread holds one chunk's gains and conditional values
+    # at a time; with a pool, at most two substreams per worker run or
+    # wait ahead of it, each with its chunk's gains, and each running one
+    # also holds the sampler's two blocks of M floats; at one CPU the
+    # substream runs in the calling thread. Eight block-length floats are
+    # left for the small temporaries. Keeping all 2^20 values took 8 MB
     monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
-    blocks, slots = (2, 1) if cpus == 1 else (5, 4)
-    bound = (blocks * 15 + slots + 8) * _util._BLOCK * 8
-    assert _traced_peak(lambda: _plain_pep(CHUNK)) <= bound
+    ahead = 0 if cpus == 1 else 2 * cpus
+    bound = ((2 + ahead) * CHUNK + (2 * 15 * cpus + 8) * _util._BLOCK) * 8
+    assert _traced_peak(lambda: _plain_pep(BIG)) <= bound
 
 
 def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
@@ -545,7 +533,7 @@ def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
     # folds each group into three chunk-length sums before it returns two
     # chunk-length arrays; at one CPU each chunk is folded before the next
     # is drawn, so the peak is one group beside eleven chunk-length
-    # arrays, whatever M and the trial count. The whole (3, M, chunk)
+    # arrays, whatever M and the trial count. The whole (M, 3, chunk)
     # draw took 5.9 MB at M = 15
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
     cfg = default_config(M=15)
@@ -561,21 +549,17 @@ def test_tilted_pep_holds_one_chunk_of_draws(monkeypatch):
 @pytest.mark.parametrize("M", [1, 3, 4, 5, 15, 64])
 @pytest.mark.parametrize("n", [1, 5, _TILT_CHUNK])
 def test_grouped_tilted_draw_equals_one_whole_draw(M, n):
-    # the tilted sampler sums each plane's element rows as a whole draw's
-    # sum over elements does: pairwise over M at n = 1, where one group
-    # holds every row, else row by row in element order; M = 5 and 15
-    # end in a short group of rows at a full chunk, and the generator,
-    # which jumps between the planes, ends where the whole draw leaves it
+    # each group of element rows is the next draw in the stream, so the
+    # groups are the rows of one whole (M, 3, n) draw, and the generator
+    # ends where that draw leaves it; M = 5 and 15 end in a short group
+    # of rows at a full chunk
     want_rng = np.random.default_rng(43)
-    want = want_rng.random((3, M, n)).sum(axis=1)
+    want = want_rng.random((M, 3, n))
     rng = np.random.default_rng(43)
-    got = np.empty((3, n))
-    rows = 0
-    for k, u in enumerate(_tilt_uniforms(rng, M, n)):
-        for acc, plane in zip(got, u):
-            _add_rows(acc, plane, k == 0)
-        rows += u.shape[1]
-    assert rows == M
-    assert k + 1 == -(-M // max(1, _TILT_DRAW // n))
-    assert np.array_equal(got, want)
+    got = []
+    for u in _tilt_uniforms(rng, M, n):
+        assert u.shape[0] == 3 and u.shape[2] == n
+        got.append(u.transpose(1, 0, 2).copy())
+    assert len(got) == -(-M // max(1, _TILT_DRAW // n))
+    assert np.array_equal(np.concatenate(got), want)
     assert rng.bit_generator.state == want_rng.bit_generator.state

@@ -1,13 +1,12 @@
 """Graded-mesh quadrature: accuracy at a log-periodic onset, the M = 1
-deep-tail referee points, and the loud failure at the panel cap; the
-pairwise fold that reproduces numpy's float sum."""
+deep-tail referee points, and the loud failure at the panel cap."""
 
 import numpy as np
 import pytest
 
 from lisnoma import ConvergenceError, build_event, default_config
 from lisnoma import specfun
-from lisnoma._util import _BLOCK, PairwiseSum, gauss_legendre_panels
+from lisnoma._util import gauss_legendre_panels
 from lisnoma.pep import pep_general, pep_quadrature
 
 
@@ -40,20 +39,3 @@ def test_fitted_density_referee_deep_tail_at_one_element(user, snr_db):
                          abs_tol=closed.raw * 1e-9)
     assert ref == pytest.approx(closed.raw, rel=1e-9)
 
-
-def test_pairwise_fold_equals_numpy_sum():
-    # the fold copies the order numpy's float64 sum of a contiguous array
-    # takes internally, so a numpy that sums otherwise fails here; each
-    # count is fed in sampler blocks and in ragged blocks that start and
-    # end inside the fold's runs, over values of ten decades and both signs
-    rng = np.random.default_rng(47)
-    for n in [*range(1, 301), 4095, 4096, 4097, (1 << 20) - 1,
-              (1 << 20) + 7, 10 ** 6 + 3]:
-        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
-        want = float(np.sum(x)).hex()
-        ragged = np.cumsum(rng.integers(1, min(n, 2 * _BLOCK) + 1, n))
-        for cuts in (range(_BLOCK, n, _BLOCK), ragged[ragged < n]):
-            fold = PairwiseSum(n)
-            for block in np.split(x, cuts):
-                fold.add(block)
-            assert fold.total().hex() == want, (n, len(cuts))
