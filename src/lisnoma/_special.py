@@ -6,7 +6,9 @@ namespace and so loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.
 Every ufunc used here (``loggamma``, ``k0``, ``erf``, ``erfc``, ``exp1``,
 ``ndtr``) is defined in one extension, ``scipy.special._special_ufuncs``,
 which needs only numpy, so this module loads that file directly and hands
-out its ufuncs.
+out its ufuncs. It finds scipy's package directory with
+``importlib.util.find_spec``, which imports nothing, so ``import
+lisnoma`` leaves the ``scipy`` package itself unloaded too.
 
 The extension initialises single-phase, so loading it registers the
 module in ``sys.modules`` under its full name, and the loader pops that
@@ -28,8 +30,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-
-import scipy
 
 NAMES = ("loggamma", "k0", "erf", "erfc", "exp1", "ndtr")
 _MODULE = "scipy.special._special_ufuncs"
@@ -64,4 +64,12 @@ def _ufuncs(roots):
     return tuple(getattr(module, name) for name in NAMES)
 
 
-loggamma, k0, erf, erfc, exp1, ndtr = _ufuncs(scipy.__path__)
+def _scipy_dirs():
+    """scipy's package directories, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    return spec.submodule_search_locations
+
+
+loggamma, k0, erf, erfc, exp1, ndtr = _ufuncs(_scipy_dirs())

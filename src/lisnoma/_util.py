@@ -19,6 +19,8 @@ from numpy.polynomial.legendre import leggauss
 CHUNK = 1 << 16
 # rows of each hop that element_sums draws at a time
 _BLOCK = 1 << 12
+# floats of each hop that one element_sums draw call reaches for
+_DRAW = 1 << 16
 _ORDER = 48                 # graded rule: Gauss-Legendre points per panel,
 _MAX_PANELS = 4096          # ... and its panel cap
 _Z95 = 1.959963984540054    # two-sided 95% normal quantile (Wilson interval)
@@ -76,7 +78,8 @@ def substreams(fn, keys):
     write nothing another substream reads or writes. Results wait until
     the consumer takes them, so each result held ahead costs its size.
     Callers fold the results in key order, which makes every output
-    independent of the CPU count.
+    independent of the CPU count. A consumer that stops early cancels
+    every call that has not started; those already running finish.
     """
     workers = _cpu_count()
     if workers == 1:
@@ -85,10 +88,14 @@ def substreams(fn, keys):
     pool = _pool(workers, os.getpid())
     todo = iter(keys)
     pending = deque(pool.submit(fn, k) for k in islice(todo, 2 * workers))
-    while pending:
-        result = pending.popleft().result()
-        pending.extend(pool.submit(fn, k) for k in islice(todo, 1))
-        yield result
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, k) for k in islice(todo, 1))
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
@@ -100,22 +107,35 @@ def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,
     ``rng``, then those of g, and maps both to scale sqrt(2 E), which is
     how ``Generator.rayleigh`` maps its exponentials. So each block's sums
     are those of ``(rng.rayleigh(scale, (rows, M)) * rng.rayleigh(scale,
-    (rows, M))).sum(axis=1)`` bit for bit, and the call holds two blocks
-    of M floats beside ``out``, a new array when None.
+    (rows, M))).sum(axis=1)`` bit for bit. One ``standard_exponential``
+    call draws max(1, ``_DRAW`` // (``_BLOCK`` M)) whole blocks, h0 g0 h1
+    g1 ..., which is what one call per block draws, so that the numpy
+    calls are long enough for threads to run them at once; a short last
+    block is drawn alone. The call holds those blocks beside ``out``, a
+    new array when None.
     """
     if out is None:
         out = np.empty(n)
-    buf = np.empty(2 * min(n, _BLOCK) * M)
-    for a in range(0, n, _BLOCK):
-        b = min(n, a + _BLOCK)
-        k = (b - a) * M
-        x = rng.standard_exponential(out=buf[:2 * k])     # h, then g
+    per_call = max(1, _DRAW // (_BLOCK * M)) * _BLOCK
+    buf = np.empty(2 * min(n, per_call) * M)
+
+    def draw(a, blocks, size):
+        """``blocks`` blocks of ``size`` rows each, from row a."""
+        x = rng.standard_exponential(out=buf[:2 * blocks * size * M])
         x *= 2.0
         np.sqrt(x, out=x)
         x *= scale
-        g = x[k:]
-        g *= x[:k]
-        g.reshape(b - a, M).sum(axis=1, out=out[a:b])
+        x = x.reshape(blocks, 2, size * M)
+        g = x[:, 1]
+        g *= x[:, 0]
+        g.reshape(blocks, size, M).sum(
+            axis=2, out=out[a:a + blocks * size].reshape(blocks, size))
+
+    whole = n - n % _BLOCK
+    for a in range(0, whole, per_call):
+        draw(a, min(per_call, whole - a) // _BLOCK, _BLOCK)
+    if whole < n:
+        draw(whole, 1, n - whole)
     return out
 
 

@@ -9,22 +9,26 @@ their partial sums in substream order. So identical inputs give
 bit-identical outputs no matter how the work is batched or how many CPUs
 run it. Plain sampling draws through `_util.element_sums`, which takes
 each block's first hop and then its second from the chunk's generator,
-so a substream allocates two blocks of element magnitudes for itself,
-not a whole hop; no scratch passes between substreams. `simulate_ber`
-keeps the gains q, beside one small-integer symbol index per frame and
-user; the link's symbols, noise and SIC decisions go block by block.
-`simulate_pep` substreams return a chunk's gains, plain or tilted with
-their weights, and the calling thread runs the conditional kernel on
-each chunk in turn and folds the values and their squares with
-`np.sum`. Tilted substreams draw their (M, 3, rows) uniforms a group of
-element rows at a time (`_tilt_uniforms`) and fold each group into the
-chunk's sums over elements.
+several whole blocks per call at small M, so a substream allocates a few
+blocks of element magnitudes for itself, not a whole hop; no scratch
+passes between substreams. `simulate_ber` keeps the gains q, beside one
+small-integer symbol index per frame and user; the link's symbols, noise
+and SIC decisions go block by block. Each `simulate_pep`
+substream does its chunk's whole job: it draws the gains, plain or
+tilted with their weights, runs the conditional kernel on them under
+the module lock `_KERNEL`, so that kernel calls come one at a time, and
+returns four sums, of the values, their squares, the weights and their
+squares; the calling thread only adds those in key order. Tilted
+substreams draw their (M, 3, rows) uniforms a group of element rows at
+a time (`_tilt_uniforms`) and fold each group into the chunk's sums over
+elements.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -175,6 +179,10 @@ class PepEstimate:
 # element is 4 s^2 b exp(w/s - 2 w cosh rho + |rho|/b), elementary functions
 # only. The estimand depends on w alone; rho only carries the hop split.
 
+# held around every conditional kernel call: the substreams run the
+# kernel one at a time, as a caller that wraps it (the benchmark's
+# tracer, with its unlocked span stack and counter) expects
+_KERNEL = threading.Lock()
 # rows per tilted substream: keeps the per-element arrays cache-sized
 _TILT_CHUNK = 1 << 14
 # uniforms per plane that a tilted substream draws at a time
@@ -228,9 +236,12 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     the element products and their hop split only, never on the raw
     magnitudes, which is what makes deep-tail points reachable at any M.
     Tilting is skipped for flagged events, where the estimand is not
-    small, and kappa = 1 is plain sampling. A plain substream returns
-    its chunk's gains; a tilted one draws its uniforms a group of element
-    rows at a time and returns its chunk's gains and weights.
+    small, and kappa = 1 is plain sampling. Each substream draws its
+    chunk's gains (a tilted one its uniforms a group of element rows at a
+    time, and the weights), runs `pep_conditional` on them under
+    `_KERNEL`, and returns the sums of the values and their squares, and
+    of the weights and their squares; the chunks' sums are added in key
+    order, so the estimate's bits do not depend on the CPU count.
     """
     event = interference
     rd = math.sqrt(_distance_factor(config, user, event))
@@ -285,26 +296,30 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
         logw += s * sums[2]
         return (2.0 * sigma2 * s) * g_sum, np.exp(logw)
 
-    # the substreams draw on the pool; this thread runs the conditional
-    # kernel on each chunk in substream order, so its calls come one at a
-    # time, and folds the values
-    total = 0.0
-    total2 = 0.0
-    wsum = 0.0
-    w2sum = 0.0
-    for vals, w in substreams(draw, chunk_counts(trials, chunk)):
+    def fold(key):
+        """One substream's sums of the values and their squares, and of
+        the weights and their squares (n and n when plain)."""
+        vals, w = draw(key)
         vals /= rd
-        vals = pep_conditional(vals, event, N0=N0)
+        with _KERNEL:
+            vals = pep_conditional(vals, event, N0=N0)
         if w is None:
-            wsum += vals.size
-            w2sum += vals.size
+            wsum = w2sum = float(vals.size)
         else:
             vals *= w
-            wsum += float(w.sum())
-            w2sum += float((w * w).sum())
-        total += float(vals.sum())
+            wsum = float(w.sum())
+            w2sum = float((w * w).sum())
+        total = float(vals.sum())
         vals *= vals
-        total2 += float(vals.sum())
+        return total, float(vals.sum()), wsum, w2sum
+
+    # the chunks' sums are added in key order, whatever the CPU count
+    total = total2 = wsum = w2sum = 0.0
+    for t, t2, ws, w2s in substreams(fold, chunk_counts(trials, chunk)):
+        total += t
+        total2 += t2
+        wsum += ws
+        w2sum += w2s
 
     mean = total / trials
     var = max(0.0, total2 / trials - mean * mean)

@@ -422,8 +422,10 @@ def test_import_leaves_scipy_optimize_unloaded(fresh_python, module):
 @pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])
 def test_import_leaves_scipy_special_unloaded(fresh_python, module):
     # the package import costs about 0.2 s and 23 MB resident in its
-    # array-API layer; lisnoma._special loads the ufuncs' extension alone
+    # array-API layer; lisnoma._special loads the ufuncs' extension alone,
+    # found without importing the scipy package either
     assert _import_leaves_unloaded(fresh_python, module, "scipy.special")
+    assert _import_leaves_unloaded(fresh_python, module, "scipy")
 
 
 @pytest.mark.parametrize("module", ["lisnoma", "lisnoma.cli"])

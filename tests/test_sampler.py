@@ -24,7 +24,7 @@ import pytest
 from lisnoma import (SystemConfig, build_event, default_config,
                      empirical_moments, sample_cascade, simulate_ber,
                      simulate_pep)
-from lisnoma import _util
+from lisnoma import _util, channel
 from lisnoma._util import CHUNK, chunk_counts, chunk_rng, sample_sums
 from lisnoma.channel import (_TILT_CHUNK, _TILT_DRAW, _slice_symbols,
                              _tilt_uniforms)
@@ -151,12 +151,29 @@ def _block_sums(rng, n, M, scale):
     return np.concatenate(sums)
 
 
-@pytest.mark.parametrize("M", [1, 3, 15, 64])
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
-def test_element_sums_equal_two_whole_rayleigh_draws(M, n):
+def _call_rows(M):
+    """Rows of the B whole blocks that one sampler draw call takes at M."""
+    return max(1, _util._DRAW // (_util._BLOCK * M)) * _util._BLOCK
+
+
+def _draw_boundaries(M):
+    """Counts around the ends of the first two draw calls at M."""
+    rows = _call_rows(M)
+    return [rows - 1, rows + 1, 2 * rows + 1]
+
+
+@pytest.mark.parametrize("n, M", sorted(
+    {(n, M) for M in (1, 3, 15, 64)
+     for n in (1, 4095, 4096, 4097, 3 * 4096 + 5)}
+    | {(n, M) for M in (1, 2, 3, 15, 16, 17)
+       for n in [1, 4095, 4096, 4097, CHUNK] + _draw_boundaries(M)},
+    key=lambda nm: (nm[1], nm[0])))
+def test_element_sums_equal_two_whole_rayleigh_draws(n, M):
     # each block's sums are those of two whole Rayleigh draws of its rows,
     # h then g, and the generator ends where those draws leave it; a g
-    # that repeated h, or a block drawn out of turn, fails here
+    # that repeated h, or a block drawn out of turn, fails here. One call
+    # draws several whole blocks at small M: the counts run across the
+    # boundaries of those calls and end in whole or short blocks
     want_rng = np.random.default_rng(17)
     want = _block_sums(want_rng, n, M, 0.7)
     rng = np.random.default_rng(17)
@@ -300,14 +317,19 @@ def test_block_loop_without_out_keeps_each_slot_until_the_next(monkeypatch,
 
 @pytest.mark.parametrize("stop", ["after one block", "by raising"])
 def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
-    # the consumer stops while slow substreams it no longer waits for are
-    # still running or queued; they end on their own, and the pool then
+    # the consumer stops after its first result, while slow substreams
+    # it no longer waits for are running or queued: the queued ones are
+    # cancelled, the running ones end on their own, and the pool then
     # runs the next call
     monkeypatch.setattr(_util, "_cpu_count", lambda: 2)
     n = 9 * 4096
+    started = []
 
     def slow(s):
-        time.sleep(0.01)
+        # the first key returns at once, so both workers are still busy
+        # with the next two keys when the consumer stops
+        started.append(s)
+        time.sleep(0.05 if s else 0.0)
         return _util.element_sums(np.random.default_rng(s), n, 3, 0.7)
 
     def consume():
@@ -322,6 +344,9 @@ def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
     else:
         consume()
     _assert_pool_idle()
+    # the first key, and one running call per worker; the five submitted
+    # calls all ran when nothing cancelled the queued ones
+    assert len(started) <= 3, started
 
     want = _util.element_sums(np.random.default_rng(5), n, 3, 0.7)
     assert np.array_equal(_lone(lambda: _util.element_sums(
@@ -384,6 +409,41 @@ def test_plain_point_bits_do_not_depend_on_the_cpu_count(monkeypatch):
         got.append((est.value.hex(), est.se.hex()))
     assert est.kappa == 1.0
     assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("importance", [False, True],
+                         ids=["plain", "tilted"])
+def test_kernel_calls_come_one_at_a_time(monkeypatch, importance, cpus):
+    # every substream runs the conditional kernel on its own chunk, one
+    # at a time under a lock: a caller that wraps the kernel, as the
+    # benchmark's tracer does with a span stack and a counter that are
+    # not locked, never sees two calls overlap. Each call here sleeps, so
+    # two threads inside at once would show
+    monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
+    kernel = channel.pep_conditional
+    inside, depths, threads = [], [], set()
+
+    def detector(*args, **kwargs):
+        inside.append(None)
+        depths.append(len(inside))
+        threads.add(threading.current_thread().name)
+        try:
+            time.sleep(0.005)
+            return kernel(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(channel, "pep_conditional", detector)
+    cfg = default_config(M=3)
+    ev = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    chunk = _TILT_CHUNK if importance else CHUNK
+    est = simulate_pep(cfg, 1, interference=ev,
+                       snr_db=30.0 if importance else 5.0,
+                       trials=6 * chunk + 5, seed=47, importance=importance)
+    assert (est.kappa < 1.0) == importance
+    assert len(depths) == 7 and max(depths) == 1
+    assert all(t.startswith("lisnoma") for t in threads), threads
 
 
 # Whole-chunk references: the consumers as they were written before they
@@ -505,25 +565,26 @@ def _plain_pep(trials):
 ], ids=["ber", "moments"])
 def test_consumers_hold_one_chunk_array(monkeypatch, run, M, bound):
     # at one CPU a consumer keeps one chunk-length float array beside the
-    # sampler's two blocks of M floats: the gains q (and one index draw)
-    # for the link simulator, the sums for the moments, over four chunks;
-    # whole-chunk folds peaked at about 11 and 6 such arrays
+    # sampler's draw, h and g of its whole blocks: the gains q (and one
+    # index draw) for the link simulator, the sums for the moments, over
+    # four chunks; whole-chunk folds peaked at about 11 and 6 such arrays.
+    # The draw takes two blocks at M = 6, one at M = 15
     monkeypatch.setattr(_util, "_cpu_count", lambda: 1)
     assert _traced_peak(lambda: run(M)) <= (bound * CHUNK
-                                            + 2 * M * _util._BLOCK) * 8
+                                            + 2 * _call_rows(M) * M) * 8
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_plain_pep_holds_its_pending_chunks(monkeypatch, cpus):
-    # the calling thread holds one chunk's gains and conditional values
-    # at a time; with a pool, at most two substreams per worker run or
-    # wait ahead of it, each with its chunk's gains, and each running one
-    # also holds the sampler's two blocks of M floats; at one CPU the
-    # substream runs in the calling thread. Eight block-length floats are
-    # left for the small temporaries. Keeping all 2^20 values took 8 MB
+def test_plain_pep_holds_one_chunk_per_worker(monkeypatch, cpus):
+    # each running substream holds its chunk's gains beside either the
+    # sampler's draw, one block of h and g at M = 15, or the kernel's
+    # values; what it returns is four floats, so nothing waits for the
+    # calling thread. Eight block-length floats are left for the small
+    # temporaries. Returning each chunk's gains to the calling thread
+    # took 4.9 MB at two CPUs, and keeping all 2^20 values 8 MB
     monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
-    ahead = 0 if cpus == 1 else 2 * cpus
-    bound = ((2 + ahead) * CHUNK + (2 * 15 * cpus + 8) * _util._BLOCK) * 8
+    draw = 2 * 15 * _util._BLOCK
+    bound = (cpus * (CHUNK + max(draw, CHUNK)) + 8 * _util._BLOCK) * 8
     assert _traced_peak(lambda: _plain_pep(BIG)) <= bound
 
 

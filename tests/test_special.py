@@ -65,3 +65,18 @@ def test_loader_without_the_extension_takes_scipy_special(fresh_python):
         for name, ufunc in zip(_special.NAMES, got):
             assert ufunc is getattr(scipy.special, name), name
     """)
+
+
+def test_missing_scipy_raises_import_error(fresh_python):
+    # the loader finds scipy without importing it; with no scipy to find,
+    # importing lisnoma still fails as an import does
+    check(fresh_python, """
+        import sys
+        sys.modules["scipy"] = None
+        try:
+            import lisnoma
+        except ModuleNotFoundError as exc:
+            assert exc.name == "scipy", exc.name
+        else:
+            raise AssertionError("import lisnoma without scipy succeeded")
+    """)
