@@ -40,9 +40,7 @@ def analytic_moments(M: int, sigma2: float) -> Moments:
     hand-expanded small-M listings (``_mu3_listed``, ``_mu4_listed``) are
     compared with them by check 2 and the tests, not on every call.
     """
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    _check_sigma2(sigma2)
+    _check_scenario(M, sigma2)
     M = int(M)
     v = float(sigma2)
 
@@ -101,9 +99,7 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     keeps its chunk's sums and forms the four powers of one jackknife
     block at a time, in a (4, block) array.
     """
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    _check_sigma2(sigma2)
+    _check_scenario(M, sigma2)
     if samples < MIN_SAMPLES:
         raise ValueError("need at least 1e4 samples")
     M = int(M)
@@ -149,6 +145,13 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     return EmpiricalMoments(tuple(mu), tuple(se), int(total), int(seed))
 
 
+def _check_scenario(M, sigma2):
+    if int(M) != M or M < 1:
+        raise ValueError("M must be a positive integer")
+    _check_sigma2(sigma2)
+
+
 def _check_sigma2(sigma2):
-    if not (sigma2 > 0):
+    # nan and inf fail too
+    if not 0 < sigma2 < math.inf:
         raise ValueError("sigma2 must be positive")

@@ -40,14 +40,20 @@ print(json.dumps(counts))
 
 
 # three SNR points on one density; the middle one refines further than
-# the other two, whose meshes it shares
+# the other two, whose meshes it shares. The outer two take 1e-9 of the
+# closed form as their tolerance and stop at the second mesh; the middle
+# one takes 0, which no mesh meets, so it evaluates all seven and raises
 QUADRATURE = SETUP + """
 cfg = lisnoma.default_config(M=3)
 ev = lisnoma.build_event(cfg, 1, (1.0, 1.0), -1.0)
 counts = []
-for snr, tol in ((20.0, 1e-16), (0.0, 1e-14), (40.0, 1e-18)):
+for snr, deep in ((20.0, False), (0.0, True), (40.0, False)):
+    tol = 0.0 if deep else 1e-9 * lisnoma.pep_general(cfg, 1, ev, snr).raw
     tracer.counts.clear()
-    api.pep_quadrature(cfg, 1, ev, snr_db=snr, abs_tol=tol)
+    try:
+        api.pep_quadrature(cfg, 1, ev, snr_db=snr, abs_tol=tol)
+    except lisnoma.ConvergenceError:
+        tracer.counts["raised"] += 1
     counts.append(dict(tracer.counts))
 print(json.dumps(counts))
 """
@@ -77,6 +83,7 @@ def test_traced_quadrature_evaluates_each_mesh_once():
     nodes = [c["util.quad.nodes"] for c in counts]
     density = [c.get("pdf_approx.pdf_g.points", 0) for c in counts]
     assert [c["pep.quadrature.calls"] for c in counts] == [1, 1, 1]
+    assert [c.get("raised", 0) for c in counts] == [0, 1, 0]
     # every node is still integrated at every point ...
     assert nodes[1] > nodes[0] == nodes[2] > 0
     # ... but the density reaches pdf_g once per distinct mesh: the first

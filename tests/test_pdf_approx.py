@@ -6,8 +6,11 @@ moment (Mellin) identity that defines the fit.
 """
 
 import math
+import warnings
+from fractions import Fraction
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,8 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.integrate import quad
 
-from lisnoma import (analytic_moments, fit_gparams, pdf_clt,
-                     pdf_double_rayleigh, pdf_g)
+from lisnoma import (analytic_moments, empirical_moments, fit_gparams,
+                     pdf_approx, pdf_clt, pdf_double_rayleigh, pdf_g)
 from lisnoma.pdf_approx import (FittingError, density_cdf_table, ks_distance,
                                 ks_statistic, quadrature_domain)
 
@@ -45,19 +48,75 @@ MPMATH_FIT = {
 }
 
 
-@pytest.mark.parametrize("M", sorted(MPMATH_FIT))
+def _mp_fit(M, sigma2=0.5):
+    """(a2, a3, a4, a5, log_a1) from the moment-ratio chain at 60 digits."""
+    with mp.workdps(60):
+        pi, v = mp.pi, mp.mpf(sigma2)
+        mu1 = M * pi * v / 2
+        mu2 = (4 + (M - 1) * pi ** 2 / 4) * M * v ** 2
+        mu3 = M * pi * (mp.mpf(9) / 2 + 6 * (M - 1)
+                        + (M - 1) * (M - 2) * pi ** 2 / 8) * v ** 3
+        mu4 = (64 * M + 48 * M * (M - 1) + 9 * M * (M - 1) * pi ** 2
+               + 6 * M * (M - 1) * (M - 2) * pi ** 2
+               + M * (M - 1) * (M - 2) * (M - 3) * pi ** 4 / 16) * v ** 4
+        p2, p3, p4 = mu2 / mu1, mu3 / mu2, mu4 / mu3
+        a3 = (4 * p4 - 9 * p3 + 6 * p2 - mu1) / (-p4 + 3 * p3 - 3 * p2 + mu1)
+        a2 = a3 / 2 * (p4 - 2 * p3 + p2) + 2 * p4 - 3 * p3 + p2
+        W = (a3 * (p2 - mu1) + 2 * p2 - mu1) / a2
+        a7 = mp.sqrt(mp.mpc((W - 1) ** 2 - 4 * mu1 * (a3 + 1) / a2))
+        a4, a5 = (W - 3 + a7) / 2, (W - 3 - a7) / 2
+        log_a1 = mp.re(mp.loggamma(a3 + 1) - mp.log(a2)
+                       - mp.loggamma(a4 + 1) - mp.loggamma(a5 + 1))
+        return float(a2), float(a3), complex(a4), complex(a5), float(log_a1)
+
+
+@pytest.mark.parametrize("M", [*sorted(MPMATH_FIT), 256, 1024, 4096])
 def test_fit_matches_high_precision_solve(M):
-    # the moment ratios cancel more digits as M grows, so the float64
-    # solve drifts from the 60-digit one roughly linearly in M
-    tol = 1e-9 if M <= 15 else 1e-7
-    a2, a3, a4, a5, log_a1 = MPMATH_FIT[M]
+    tol = 1e-13
+    a2, a3, a4, a5, log_a1 = MPMATH_FIT[M] if M in MPMATH_FIT else _mp_fit(M)
     p = fit_gparams(M, 0.5)
     assert p.a2 == pytest.approx(a2, rel=tol)
     assert p.a3 == pytest.approx(a3, rel=tol)
-    assert complex(p.a4) == pytest.approx(a4, rel=max(tol, 1e-8))
-    assert complex(p.a5) == pytest.approx(a5, rel=max(tol, 1e-8))
+    assert complex(p.a4) == pytest.approx(a4, rel=tol)
+    assert complex(p.a5) == pytest.approx(a5, rel=tol)
     assert p.log_a1 == pytest.approx(log_a1, rel=tol)
     assert p.a6 == pytest.approx((a4 + a5).real, rel=tol)
+
+
+# The fit's polynomial coefficients in M, highest power first, in exact
+# form: {power of pi: rational coefficient}. Each float literal in
+# pdf_approx must be its form evaluated at 40 digits and rounded.
+FIT_COEFFS = {
+    "_D": ({4: -57, 2: 1808, 0: -12288}, {4: 57, 2: -692, 0: 1280}),
+    "_A3": ({4: 39, 2: -384}, {4: 111, 2: -4208, 0: 30720},
+            {4: -150, 2: 1532, 0: -512}),
+    "_N": ({5: Fraction(57, 2), 3: -853, 1: 10624, -1: -49152},
+           {5: Fraction(-57, 2), 3: 529, 1: -784, -1: -16384}),
+    "_W": ({5: -48, 3: 1408, 1: -9216},
+           {5: 30, 3: -74, 1: -7168, -1: 49152},
+           {5: 18, 3: -362, 1: 160, -1: 16384}),
+    "_DISC": ({10: 81, 8: -46746, 6: 1383424, 4: -13959168, 2: 47185920},
+              {10: -999, 8: 95214, 6: -1950944, 4: 14526464, 2: -35389440},
+              {10: Fraction(15669, 4), 8: -181653, 6: 4136521,
+               4: -58664704, 2: 561102848, 0: -3422552064,
+               -2: 9663676416},
+              {10: Fraction(-10323, 2), 8: 216048, 6: -4030770,
+               4: 39873824, 2: -128987136, 0: -955252736,
+               -2: 6442450944},
+              {10: Fraction(8649, 4), 8: -82863, 6: 881673, 4: 1365216,
+               2: -57501440, 0: 61865984, -2: 1073741824}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_COEFFS))
+def test_fit_literals_are_their_exact_forms_rounded(name):
+    want = []
+    with mp.workdps(40):
+        for form in FIT_COEFFS[name]:
+            terms = (mp.mpf(c.numerator) / c.denominator * mp.pi ** k
+                     for k, c in form.items())
+            want.append(float(mp.fsum(terms)))
+    assert getattr(pdf_approx, name) == tuple(want)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 6, 15, 32, 64])
@@ -206,6 +265,21 @@ def test_fit_validation():
         fit_gparams(0, 0.5)
     with pytest.raises(ValueError):
         fit_gparams(3, -1.0)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda s2: analytic_moments(3, s2),
+    lambda s2: empirical_moments(2, s2),
+    lambda s2: fit_gparams(3, s2),
+    lambda s2: pdf_double_rayleigh(1.0, s2),
+], ids=["analytic_moments", "empirical_moments", "fit_gparams",
+        "pdf_double_rayleigh"])
+def test_sigma2_must_be_positive_and_finite(entry, sigma2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            entry(sigma2)
 
 
 @settings(max_examples=25, deadline=None)

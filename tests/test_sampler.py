@@ -544,6 +544,10 @@ def test_sampled_moments_equal_their_whole_chunk_reference(monkeypatch, n):
 
 
 def _traced_peak(fn):
+    # a first, untraced call makes what the process allocates once, on
+    # first use, which would otherwise fall inside the traced window when
+    # a test runs alone
+    fn()
     tracemalloc.start()
     try:
         fn()

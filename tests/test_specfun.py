@@ -435,16 +435,16 @@ KERNEL_ZETAS = np.geomspace(1e-4, 1e6, 161)
 KERNEL_ZS = np.concatenate([np.linspace(0.25, 10.0, 40),
                             np.geomspace(10.05, 400.0, 120)])
 KERNEL_GOLDEN = {
-    1: ("6819ab5ba6465000f3861492bda214caf8ec9ac4f274a693d36de4447ef17514",
-        "f71d6a59f8f0504fbbe0dffff9f2bd6041f8c2f2ebf6914bf6cf88b4dc37baa7"),
-    3: ("26108907b41c602c643499c381e9e5f0e4a5df8b02c75e05eee8ff1548fc611a",
-        "c06252c8a435a883c1d529990b3a88871015ccf59a8ccdc76aaca7273de86cb4"),
-    6: ("8ac008f0d50fc1fc7bfd2b4ce17f99d6b6e53d93f51bcaefc3eda131860de195",
-        "e425a0754f05794f8a10de3d420828fd89e746ed9f78d506362d66c1eaeb4b55"),
-    15: ("dc22f2fad555692d5e06b4d107793205b0752a208adc2a01649d16d3b799ecff",
-         "d21807feaf046e9c8d61adcbd80df747dc7c6b25e7f411298817e7f6199760cb"),
-    32: ("f0b96ebbcf7ad244844b87a1d0ad9a553b8e9837b8a3d910905cfb07a0a2457c",
-         "dee26f19d1a43a33e12767c582e6d37bdddec759b5b2a5036fe6f3435bff074b"),
+    1: ("e7e757f31403c8258e2232a0e1afbbf39650b8b556f89d0f6089d559c3f4a1ee",
+        "7f7a41001928db79e1e63853a9b5b905839945519881ab196ae260b87a51e84c"),
+    3: ("460d4b059670ccc1a3bea26a0a368eca93c6d98c73959abc36d54e55d37e7960",
+        "4c37dfa6f2fe3a76f2a020ad54d8e3a08c34baa4cc70f112bd27e80c0e0bc373"),
+    6: ("e839080530c8f52b301b83f3ed9e404b0c79e0829efaaf70414fdc212e1e8345",
+        "fee975a064b3ba9e23060b9b597f464b73a531308a824a4171fc810638f97248"),
+    15: ("88753c6cfa6be930f9d8a30c98c626e89714390f014d39c25282e9b1e249cade",
+         "2749893a2881ff1c709cd9fbc61ffeffbeff99836bf92065942a89b33306621b"),
+    32: ("fa243b77ddaf419a2a65688632fb4b6f1d23846dcd0aaec799660660031b0fba",
+         "89ae4cd2f8085ac7563c751188bf9bd304b7306093d4e5cedeaa4740f18359d4"),
 }
 
 
@@ -469,11 +469,11 @@ def test_kernel_bits_are_pinned(M):
 # at each of SINGLE_M; pinned for the versions in KERNEL_VERSIONS
 PEP_SNR_DB = tuple(float(s) for s in range(0, 41, 2))
 PEP_GOLDEN = {
-    1: "beca349d09a3ca35c599c6bc505571510233c9b053bd36a659f464904b5d64b5",
-    3: "2c8f9d73c5438d3427dbbc8f207db2e4201b5c4332f02c99ed0aeb005fcf27cc",
-    4: "1649b29f3fc1e81402991c2acde8269d183e8c4ad6992f02360bd0ad9f81605c",
-    6: "54be4fb90be2f73cd363a22028b31fd4fd6764102fc1db86597407fde8a68bfd",
-    16: "713891e7582120cd3e74156a74feb0e4bdfd55dbd15173c7db1f08828f45c6b0",
+    1: "fa413fca70ddb2920143a4006c21069490af12806d8cd0e23abd036e6e829de4",
+    3: "f122fc09f87ba0a70d2656ea8225f12b4123579bf2817c4f0cec07b9213fbe76",
+    4: "6809de04ebc3c937c9aae0c775b9a9c7e3185e5a13b1eb7e4af958a635bc35af",
+    6: "de2cc1846a1ec5a59d54bd491a9dfaca80f0a67192cc9f90bbc701aa05dfba33",
+    16: "9ff65b367dbf945f14824ce69c9283623785eb2b7aeed8fb8ed2a38363a2ad2f",
 }
 
 
