@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 # at import, so that the first quadrature loads no module while it runs
@@ -69,33 +67,23 @@ def _pool(workers: int, pid: int):
 
 
 def substreams(fn, keys):
-    """Yield ``fn(key)`` for every key, in key order.
+    """An iterator of ``fn(key)`` for every key, in key order.
 
-    The calls run on a shared pool of one thread per CPU, at most two per
-    thread ahead of the consumer; with one CPU they run in the calling
-    thread. numpy releases the GIL while it draws and computes on arrays,
-    so the threads run at once. ``fn`` allocates its own scratch and must
-    write nothing another substream reads or writes. Results wait until
-    the consumer takes them, so each result held ahead costs its size.
-    Callers fold the results in key order, which makes every output
-    independent of the CPU count. A consumer that stops early cancels
-    every call that has not started; those already running finish.
+    The calls run on a shared pool of one thread per CPU, every key
+    submitted at once through ``Executor.map``; with one CPU they run in
+    the calling thread. numpy releases the GIL while it draws and
+    computes on arrays, so the threads run at once. ``fn`` allocates its
+    own scratch and must write nothing another substream reads or writes.
+    Every caller's ``fn`` returns O(1) data, so the results that wait for
+    the consumer hold nothing big. Callers fold the results in key order,
+    which makes every output independent of the CPU count. A consumer
+    that stops early cancels every call that has not started; those
+    already running finish.
     """
     workers = _cpu_count()
     if workers == 1:
-        yield from map(fn, keys)
-        return
-    pool = _pool(workers, os.getpid())
-    todo = iter(keys)
-    pending = deque(pool.submit(fn, k) for k in islice(todo, 2 * workers))
-    try:
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, k) for k in islice(todo, 1))
-            yield result
-    finally:
-        for future in pending:
-            future.cancel()
+        return map(fn, keys)
+    return _pool(workers, os.getpid()).map(fn, keys)
 
 
 def element_sums(rng: np.random.Generator, n: int, M: int, scale: float,

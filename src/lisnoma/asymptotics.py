@@ -149,11 +149,16 @@ def diversity_order(config: SystemConfig, user: int,
     The numeric slope is measured on a distance-normalized copy of the
     scenario (slope is distance-independent; normalizing just moves the
     asymptotic regime inside the grid) using the largest-projection error
-    event for the user. Raises ValueError where the bound underflows
-    float64 at a grid point, as the default grid's 45 dB point does from
-    M = 64 on.
+    event for the user. Raises ValueError when ``grid_db`` holds fewer
+    than two distinct points, and where the bound underflows float64 at
+    a grid point, as the default grid's 45 dB point does from M = 64 on.
     """
     config._check_user(user)
+    lo = min(grid_db, default=math.nan)
+    hi = max(grid_db, default=math.nan)
+    if not lo < hi:         # no grid, one distinct point, or a NaN end
+        raise ValueError(f"the secant grid {tuple(grid_db)} (dB) needs two "
+                         f"distinct points")
     p = fit_gparams(config.M, config.sigma2)
     analytic = analytic_diversity(config.M, config.sigma2)
     branch = "complex-pair" if p.complex_pair else (
@@ -161,7 +166,6 @@ def diversity_order(config: SystemConfig, user: int,
 
     probe = _normalized_probe(config, user)
     event = _max_vartheta_event(probe, user)
-    lo, hi = min(grid_db), max(grid_db)
     f = pep_m1 if config.M == 1 else pep_general
     p_lo = f(probe, user, event, snr_db=lo)
     p_hi = f(probe, user, event, snr_db=hi)

@@ -229,8 +229,6 @@ def _cmd_fit(args, parser) -> int:
 
 def _cmd_pdf(args, parser) -> int:
     cfg, overrides = _build_config(args, parser)
-    if args.model == "dr" and cfg.M != 1:
-        parser.error("model dr describes the single-element case; use --M 1")
     try:
         xs = _parse_value_grid(args.grid)
     except ValueError as exc:

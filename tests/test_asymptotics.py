@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -198,3 +199,12 @@ def test_underflowed_secant_point_is_a_named_error():
         diversity_order(cfg, 1)
     rep = diversity_order(default_config(M=56), 1)
     assert math.isfinite(rep.numeric) and rep.rel_err < 0.05
+
+
+@pytest.mark.parametrize("grid", [(35.0, 35.0), (), (45.0, math.nan)])
+def test_secant_grid_needs_two_distinct_points(grid):
+    # no grid, a repeated point, or a NaN that min and max pass over
+    # gives no secant; the message names the grid
+    with pytest.raises(ValueError, match=re.escape(
+            f"the secant grid {grid} (dB) needs two distinct points")):
+        diversity_order(default_config(M=3), 1, grid_db=grid)

@@ -102,8 +102,10 @@ def test_pdf_table_is_normalized(capsys):
 
 
 def test_pdf_exact_model_needs_one_element(capsys):
-    assert run(capsys, "pdf", "--M", "3", "--model", "dr",
-               "--grid", "0:10:50")[0] == 2
+    code, _, err = run(capsys, "pdf", "--M", "3", "--model", "dr",
+                       "--grid", "0:10:50")
+    assert code == 2
+    assert "needs M = 1" in err
     # the exact density has a logarithmic spike at the origin, so the
     # trapezoid check needs a denser grid than the fitted-kernel one
     code, out, _ = run(capsys, "pdf", "--M", "1", "--model", "dr",

@@ -315,6 +315,28 @@ def test_block_loop_without_out_keeps_each_slot_until_the_next(monkeypatch,
     assert len({id(g) for g in got}) == 6
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_results_come_in_key_order_whatever_order_calls_end(monkeypatch,
+                                                            cpus):
+    # each call sleeps longer the smaller its key, so the pool's calls end
+    # in about the reverse of key order; the consumer still gets them in
+    # key order, and each key runs once
+    monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
+    keys = list(range(7))
+    ran = []
+
+    def call(key):
+        time.sleep(0.01 * (len(keys) - key))
+        ran.append(key)
+        return key, threading.current_thread().name
+
+    got = list(_util.substreams(call, keys))
+    assert [key for key, _ in got] == keys
+    assert sorted(ran) == keys
+    assert ran != keys          # the calls did end out of key order
+    assert all(name.startswith("lisnoma") for _, name in got)
+
+
 @pytest.mark.parametrize("stop", ["after one block", "by raising"])
 def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
     # the consumer stops after its first result, while slow substreams
@@ -344,8 +366,9 @@ def test_lone_consumer_that_stops_leaves_the_pool_usable(monkeypatch, stop):
     else:
         consume()
     _assert_pool_idle()
-    # the first key, and one running call per worker; the five submitted
-    # calls all ran when nothing cancelled the queued ones
+    # the first key, and one running call per worker; every key is
+    # submitted at once, so all eight run when nothing cancels the queued
+    # ones
     assert len(started) <= 3, started
 
     want = _util.element_sums(np.random.default_rng(5), n, 3, 0.7)
