@@ -15,10 +15,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import _special as sp
-from .config import SystemConfig
+from .config import SystemConfig, _resolve_n0
 from .pdf_approx import fit_gparams
-from .pep import (ErrorEvent, _chernoff_args, _distance_factor, _resolve_n0,
-                  pep_general, pep_m1)
+from .pep import (ErrorEvent, _chernoff_args, _distance_factor, pep_general,
+                  pep_m1)
 from .specfun import _nonpositive_int, _offsets_1443
 from .union_bound import enumerate_events
 

@@ -36,9 +36,9 @@ import numpy as np
 
 from ._util import (_BLOCK, CHUNK, chunk_counts, chunk_rng, element_sums,
                     sample_sums, substreams, wilson_interval)
-from .config import SystemConfig
+from .config import SystemConfig, _resolve_count, _resolve_n0
 from .moments import analytic_moments
-from .pep import ErrorEvent, _distance_factor, _resolve_n0, pep_conditional
+from .pep import ErrorEvent, _distance_factor, pep_conditional
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +53,7 @@ def sample_cascade(config: SystemConfig, user: int, count: int,
                    seed: int = 0) -> CascadeBatch:
     """Draw `count` end-to-end channel gains for one user."""
     config._check_user(user)
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _resolve_count(count, "count")
     s = sample_sums(config.M, config.sigma2, count, seed)
     # multiply by the reciprocal root so q == s * D**-0.5 holds exactly
     return CascadeBatch(s, s * config.distance_factor(user) ** -0.5)
@@ -95,8 +94,7 @@ def simulate_ber(config: SystemConfig, snr_db: Sequence[float], frames: int,
     deciding its own symbol, so detection errors propagate into the
     residual rather than being assumed away.
     """
-    if frames < 1:
-        raise ValueError("frames must be at least 1")
+    frames = _resolve_count(frames, "frames")
     snr_db = tuple(float(v) for v in snr_db)
     N0 = [_resolve_n0(v) for v in snr_db]
     scale = math.sqrt(config.sigma2)
@@ -245,8 +243,7 @@ def simulate_pep(config: SystemConfig, user: int, interference: ErrorEvent,
     """
     event = interference
     rd = math.sqrt(_distance_factor(config, user, event))
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _resolve_count(trials, "trials")
 
     N0 = _resolve_n0(snr_db)
     lam = event.lam_at(N0)

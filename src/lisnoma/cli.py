@@ -27,7 +27,8 @@ from . import __version__, checks
 from ._util import _Z95
 from .asymptotics import analytic_diversity, diversity_order
 from .channel import sample_cascade, simulate_ber, simulate_pep
-from .config import SnrGrid, SystemConfig, default_config, load_scenario
+from .config import (SnrGrid, SystemConfig, _resolve_count, default_config,
+                     load_scenario)
 from .moments import MIN_SAMPLES, analytic_moments, empirical_moments
 from .pdf_approx import FittingError, fit_gparams
 from .pep import (_density, build_event, pep_clt, pep_general, pep_m1,
@@ -143,9 +144,10 @@ def _manifest(args, overrides, output=None) -> RunManifest:
 def _count(text: str) -> int:
     """argparse type of a sample, trial or frame count: at least 1."""
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"count must be at least 1, got {n}")
-    return n
+    try:
+        return _resolve_count(n, "count")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_value_grid(text: str):

@@ -10,11 +10,44 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 BPSK = (-1.0, 1.0)
 
 _SUM_TOL = 1e-12
+
+
+def _check_scenario(M, sigma2):
+    if int(M) != M or M < 1:
+        raise ValueError("M must be a positive integer")
+    _check_sigma2(sigma2)
+
+
+def _check_sigma2(sigma2):
+    # nan and inf fail too
+    if not 0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be positive")
+
+
+def _resolve_n0(snr_db: float) -> float:
+    """Noise spectral density N0 at ``snr_db`` dB; refuses |snr_db| > 3000."""
+    snr_db = float(snr_db)
+    # N0 = 10^(-snr/10) stays within [1e-300, 1e300]; nan fails too
+    if not abs(snr_db) <= 3000.0:
+        raise ValueError(f"snr_db must be finite and within "
+                         f"[-3000, 3000] dB, got {snr_db:g}")
+    return 10.0 ** (-snr_db / 10.0)
+
+
+def _resolve_count(value, name: str, least: int = 1) -> int:
+    """A count as an int: any whole number (an int, a numpy integer or an
+    integral float) of at least ``least``, or a ValueError naming ``name``."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()
+            and value >= least):
+        raise ValueError(f"{name} must be a whole number of at least "
+                         f"{least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -65,13 +98,10 @@ class SystemConfig:
                   *self.P, *(s for c in self.constellation for s in c))
         if not all(math.isfinite(v) for v in values):
             raise ValueError("scenario values must be finite")
-        if int(self.M) != self.M or self.M < 1:
-            raise ValueError("M must be a positive integer")
+        _check_scenario(self.M, self.sigma2)
         object.__setattr__(self, "M", int(self.M))
         if not len(self.d_R) == len(self.P) == len(self.constellation):
             raise ValueError("d_R, P and constellation must agree in length")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
         if self.alpha <= 0 or self.d_B <= 0:
             raise ValueError("alpha and d_B must be positive")
         if any(v <= 0 for v in self.d_R + self.P):
@@ -121,7 +151,7 @@ def load_scenario(path) -> SystemConfig:
 
 @dataclass(frozen=True)
 class SnrGrid:
-    """Strictly increasing grid of finite mean SNR points, in dB."""
+    """Strictly increasing grid of mean SNR points in dB, each |p| <= 3000."""
 
     db: tuple
 
@@ -129,8 +159,8 @@ class SnrGrid:
         pts = tuple(float(x) for x in self.db)
         if len(pts) == 0:
             raise ValueError("empty grid")
-        if not all(math.isfinite(p) for p in pts):
-            raise ValueError("SNR points must be finite")
+        for p in pts:
+            _resolve_n0(p)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid must be strictly increasing")
         object.__setattr__(self, "db", pts)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import chunk_counts, chunk_rng, element_sums, substreams
+from .config import _check_scenario, _resolve_count
 
 _PI = math.pi
 
@@ -100,14 +101,13 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
     block at a time, in a (4, block) array.
     """
     _check_scenario(M, sigma2)
-    if samples < MIN_SAMPLES:
-        raise ValueError("need at least 1e4 samples")
+    samples = _resolve_count(samples, "samples", MIN_SAMPLES)
     M = int(M)
     scale = math.sqrt(float(sigma2))
 
     # chunk sums of S^k for k = 1..4; jackknife blocks are finer than the
     # draw chunks so runs smaller than one chunk still get an error bar
-    block = max(2500, -(-int(samples) // 64))
+    block = max(2500, -(-samples // 64))
 
     def chunk_sums(key):
         idx, n = key
@@ -125,7 +125,7 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
 
     sums = []
     counts = []
-    for part in substreams(chunk_sums, chunk_counts(int(samples))):
+    for part in substreams(chunk_sums, chunk_counts(samples)):
         for row, count in part:
             sums.append(row)
             counts.append(count)
@@ -143,15 +143,3 @@ def empirical_moments(M: int, sigma2: float, samples: int = 10_000_000,
         se[k] = math.sqrt((C - 1) / C * np.sum((loo - loo.mean()) ** 2))
 
     return EmpiricalMoments(tuple(mu), tuple(se), int(total), int(seed))
-
-
-def _check_scenario(M, sigma2):
-    if int(M) != M or M < 1:
-        raise ValueError("M must be a positive integer")
-    _check_sigma2(sigma2)
-
-
-def _check_sigma2(sigma2):
-    # nan and inf fail too
-    if not 0 < sigma2 < math.inf:
-        raise ValueError("sigma2 must be positive")

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import _special as sp
 from ._util import match_scalar
-from .moments import (Moments, _check_scenario, _check_sigma2,
-                      analytic_moments)
+from .config import _check_scenario, _check_sigma2
+from .moments import Moments, analytic_moments
 from .specfun import meijer_g_2012
 
 _NEG_TOL = 1e-12

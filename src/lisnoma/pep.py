@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _special as sp
 from ._util import gauss_legendre_panels
-from .config import SystemConfig
+from .config import SystemConfig, _resolve_n0
 from .moments import analytic_moments
 from .pdf_approx import (GParams, fit_gparams, pdf_clt, pdf_double_rayleigh,
                          pdf_g, quadrature_domain)
@@ -140,14 +140,6 @@ class PepValue:
     log_raw: float
     method: str
     flagged: bool
-
-
-def _resolve_n0(snr_db: float) -> float:
-    """Noise spectral density N0 at a mean SNR of ``snr_db`` dB."""
-    snr_db = float(snr_db)
-    if not math.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
-    return 10.0 ** (-snr_db / 10.0)
 
 
 def _distance_factor(config: SystemConfig, user: int, *events) -> float:

@@ -20,17 +20,18 @@ and large arguments alike. All gamma factors are handled in log space
 with sign tracking.
 
 A band's line (abscissa, half-length, and the nodes and gamma factors
-of each node-doubling level reached so far) depends only on the gamma
-offsets and the band index, so it is kept in an in-process memo keyed on
-(offsets, band index) and reused by later calls. The memo holds at most
-_MAX_LINES lines and drops the least recently used. A line is built by
-the same elementwise operations whichever call builds it, and a call
-replays its doubling levels in the same order either way, so a value
-depends only on its argument, the parameters and the tolerance: never
-on which arguments share the call, nor on which calls came before. The
-gamma ratio of each offset set is built once and kept too, at most
-_MAX_RATIOS of them, least recently used dropped; it holds only the
-offsets, so it cannot change a value.
+of each node-doubling level reached so far) depends only on the
+integrand and the band index, so it is kept in an in-process memo keyed
+on (integrand key, band index) and reused by later calls. The memo
+holds at most _MAX_LINES lines and drops the least recently used. A
+line is built by the same elementwise operations whichever call builds
+it, and a call replays its doubling levels in the same order either
+way, so a value depends only on its argument, the parameters and the
+tolerance: never on which arguments share the call, nor on which calls
+came before. Each kernel builds its integrand, a gamma ratio, through
+``_ratio``, which keeps the ratios of the last _MAX_RATIOS offset sets
+and drops the least recently used; a ratio holds only its offsets, so
+it cannot change a value.
 
 A new line costs its gamma factors and a fixed handful of array calls:
 the saddle search hands it log|F| at its abscissa, and the scalar
@@ -72,7 +73,7 @@ _MAX_RATIOS = 64           # gamma ratios kept, one per offset set
 _SERIES_RTOL = 1e-12       # residue series: relative size of its last term,
 _SERIES_TERMS = 512        # ... and its term budget per family
 
-# (offsets, band) -> _Line, least recently used first
+# (integrand key, band) -> _Line, least recently used first
 _LINES = collections.OrderedDict()
 _LINES_LOCK = threading.Lock()
 
@@ -84,18 +85,15 @@ _LINES_LOCK = threading.Lock()
 class MellinBarnesSpec:
     """Record of the contour of one argument band.
 
-    ``plus``/``minus`` hold numerator gamma offsets for factors in
-    Gamma(offset + s) and Gamma(offset - s); the ``den_*`` tuples are the
-    corresponding denominator offsets. The band holds the arguments z
-    with ``band[0] <= z < band[1]``. Its contour is the vertical line
-    Re s = abscissa, truncated at ``half_length``; ``nodes`` is the node
-    count at which the band's last argument converged.
+    ``integrand`` is the memo key of the integrand's gamma ratio
+    (``_GammaRatio.key``). The band holds the arguments z with
+    ``band[0] <= z < band[1]``. Its contour is the vertical line
+    Re s = abscissa at the band's saddle, truncated at ``half_length``;
+    ``nodes`` is the node count at which the band's last argument
+    converged.
     """
 
-    plus: tuple
-    minus: tuple
-    den_plus: tuple
-    den_minus: tuple
+    integrand: tuple
     band: tuple
     abscissa: float
     half_length: float
@@ -368,21 +366,18 @@ def _band_sums(lnz, line, ratio, rtol):
     return out, n
 
 
-def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
-                 abscissa=None, rtol=1e-10):
+def _contour_log(z, ratio, rtol=1e-10):
     """Contour integral (1/2*pi*i) int F(s) z^{-s} ds in log form.
 
-    ``z`` is a 1-D array of positive finite arguments. Returns (log_abs,
-    sign, specs): two arrays shaped like ``z`` and one MellinBarnesSpec
-    per argument band, in increasing order of the band. ``abscissa`` puts
-    every band's line at one fixed Re s inside the strip in place of its
-    saddle, and such lines bypass the memo; ``rtol`` is the node-doubling
-    tolerance. The four offset groups are tuples, as they key the memos.
+    ``z`` is a 1-D array of positive finite arguments and ``ratio`` the
+    integrand F, a ``_GammaRatio`` built by ``_ratio``. Every band's line
+    sits at its saddle. Returns (log_abs, sign, specs): two arrays shaped
+    like ``z`` and one MellinBarnesSpec per argument band, in increasing
+    order of the band. ``rtol`` is the node-doubling tolerance.
     """
     z = np.asarray(z, dtype=float)
     if not ((z > 0) & (z < math.inf)).all():
         raise ValueError("argument must be positive and finite")
-    ratio = _ratio(plus, minus, den_plus, den_minus)
 
     lnz = np.log(z)
     cell = np.floor(lnz / _BAND_LOG)
@@ -392,22 +387,14 @@ def _contour_log(z, plus, minus=(), den_plus=(), den_minus=(),
         band, where = np.unique(cell, return_inverse=True)
         rows = [np.flatnonzero(where == k) for k in range(band.size)]
     with _LINES_LOCK:     # memo lines grow in place: one call at a time
-        if abscissa is None:
-            lines = _memo_lines(band, ratio)
-        else:
-            c = float(abscissa)
-            if not ratio.lo < c < ratio.hi:
-                raise ValueError("abscissa outside the legal strip")
-            c = np.full(band.size, c)
-            lines = _new_lines(c, ratio, ratio.log(c).real)
-
+        lines = _memo_lines(band, ratio)
         sums = np.empty_like(z)
         specs = []
         for k, line in enumerate(lines):
             sums[rows[k]], nodes = _band_sums(lnz[rows[k]], line, ratio, rtol)
             specs.append(MellinBarnesSpec(
-                *ratio.key, band=(math.exp(band[k] * _BAND_LOG),
-                                  math.exp((band[k] + 1) * _BAND_LOG)),
+                ratio.key, band=(math.exp(band[k] * _BAND_LOG),
+                                 math.exp((band[k] + 1) * _BAND_LOG)),
                 abscissa=line.c, half_length=line.T, nodes=nodes))
     # every argument's abscissa and log|F| there, so that the sign and the
     # log of all arguments are formed in one pass
@@ -542,8 +529,8 @@ def meijer_g_2012(x, a3, a4, a5):
 
     rest = pos & ~use_series
     if rest.any():
-        log_abs, sign, _ = _contour_log(x_arr[rest], plus=(a4, a5),
-                                        den_plus=(a3,))
+        log_abs, sign, _ = _contour_log(x_arr[rest],
+                                        _ratio((a4, a5), (), (a3,), ()))
         out[rest] = sign * np.exp(log_abs)
     return match_scalar(x, out)
 
@@ -572,8 +559,7 @@ def meijer_g_1443_log(zeta, a3, a4, a5):
     contour's relative tolerance is 1e-9.
     """
     plus, minus, den_minus = _offsets_1443(a3, a4, a5)
-    return _contour_log(zeta, plus=plus, minus=minus, den_minus=den_minus,
-                        rtol=1e-9)
+    return _contour_log(zeta, _ratio(plus, minus, (), den_minus), rtol=1e-9)
 
 
 def meijer_g_1443(zeta, a3, a4, a5):

@@ -13,10 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import SystemConfig
+from .config import SystemConfig, _resolve_n0
 # pep_general stays a module attribute: bench/tracing.py wraps it by name
-from .pep import (_log_pep_general, _raw, _resolve_n0, build_event,
-                  pep_general, pep_m1)
+from .pep import _log_pep_general, _raw, build_event, pep_general, pep_m1
 
 
 def enumerate_events(config: SystemConfig, user: int) -> tuple:

@@ -1,13 +1,14 @@
 """Monte Carlo reference paths: sampling, link simulation, PEP estimation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from lisnoma import (analytic_moments, build_event, default_config,
-                     pep_general, pep_quadrature, sample_cascade,
-                     simulate_ber, simulate_pep)
+                     empirical_moments, pep_general, pep_quadrature,
+                     sample_cascade, simulate_ber, simulate_pep)
 from lisnoma._util import wilson_interval
 from lisnoma.config import SnrGrid
 
@@ -146,3 +147,34 @@ def test_underflowed_standard_error_is_flagged():
     assert 0.0 < est[40.0].value < 1e-180 and est[40.0].se == 0.0
     assert est[40.0].se_underflowed
     assert est[30.0].se > 0.0 and not est[30.0].se_underflowed
+
+
+# every function that takes a count, keyed on the count's argument name,
+# with a count it accepts
+_COUNTED = {
+    "count": (lambda cfg, n: sample_cascade(cfg, 1, count=n), 1000),
+    "frames": (lambda cfg, n: simulate_ber(cfg, (10.0,), frames=n), 1000),
+    "trials": (lambda cfg, n: simulate_pep(
+        cfg, 1, build_event(cfg, 1, (1.0, 1.0), -1.0), snr_db=10.0,
+        trials=n), 1000),
+    "samples": (lambda cfg, n: empirical_moments(cfg.M, cfg.sigma2,
+                                                 samples=n), 10_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_every_count_takes_any_whole_number(cfg, name):
+    # an integral float or a numpy integer is the int it equals, bit for bit
+    f, n = _COUNTED[name]
+    want = pickle.dumps(f(cfg, n))
+    for same in (float(n), np.int64(n)):
+        assert pickle.dumps(f(cfg, same)) == want
+
+
+@pytest.mark.parametrize("bad", [2.5, 0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_every_count_refuses_a_fractional_or_small_value_by_name(cfg, name,
+                                                                 bad):
+    f, _ = _COUNTED[name]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        f(cfg, bad)

@@ -224,6 +224,14 @@ def test_out_of_range_counts_are_argument_errors(capsys, argv):
     assert "usage:" in err
 
 
+def test_snr_beyond_3000_db_is_an_argument_error(capsys):
+    # the grid refuses the point before any form divides by N0 = 0
+    code, out, err = run(capsys, "pep", "--method", "general",
+                         "--snr=4000:4000:1")
+    assert code == 2 and out == ""
+    assert "got 4000" in err
+
+
 def test_pep_simulation_reports_an_interval(capsys):
     code, out, _ = run(capsys, "pep", "--M", "3", "--method", "mc",
                        "--snr", "0:6:3", "--trials", "20000", "--seed", "2")

@@ -113,6 +113,9 @@ def test_snr_grid_rejects_bad_input():
         SnrGrid((0.0, math.nan))
     with pytest.raises(ValueError):
         SnrGrid((0.0, math.inf))
+    with pytest.raises(ValueError, match="got 3000.5"):
+        SnrGrid((0.0, 3000.5))
+    assert SnrGrid((-3000.0, 3000.0)).db == (-3000.0, 3000.0)
     with pytest.raises(ValueError):
         SnrGrid.from_range_db(0.0, 10.0, math.nan)
     with pytest.raises(ValueError):

@@ -5,15 +5,17 @@ import math
 import random
 import sys
 import threading
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import exp1
 
-from lisnoma import (ConvergenceError, build_event, default_config, pep,
-                     pep_asymptotic, pep_clt, pep_conditional, pep_general,
-                     pep_m1, pep_quadrature, simulate_ber, simulate_pep)
+from lisnoma import (ConvergenceError, build_event, default_config,
+                     diversity_order, pep, pep_asymptotic, pep_clt,
+                     pep_conditional, pep_general, pep_m1, pep_quadrature,
+                     simulate_ber, simulate_pep, union_bound_curve)
 from lisnoma.asymptotics import _normalized_probe
 from lisnoma.pep import _eta_exp_e1
 
@@ -264,6 +266,31 @@ def test_every_form_rejects_a_non_finite_snr(form, snr_db):
     event = build_event(cfg, 1, (1.0, 1.0), -1.0)
     with pytest.raises(ValueError, match="snr_db must be finite"):
         f(cfg, 1, event, snr_db=snr_db)
+
+
+# ... and the two that take several points: one bad point refuses the call
+_RANGE_FORMS = dict(
+    _SNR_FORMS,
+    union=(3, lambda cfg, user, event, snr_db:
+           union_bound_curve(cfg, user, (10.0, snr_db))),
+    diversity=(3, lambda cfg, user, event, snr_db:
+               diversity_order(cfg, user, grid_db=(35.0, snr_db))))
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, -3100.0, 3100.0, 4000.0])
+@pytest.mark.parametrize("form", sorted(_RANGE_FORMS))
+def test_every_form_refuses_an_snr_beyond_3000_db(form, snr_db):
+    # N0 = 10^(-snr/10) leaves float64 beyond about 3080 dB either way;
+    # past 3000 dB every form names the point instead of dividing by
+    # zero, overflowing or returning 0 with a warning
+    M, f = _RANGE_FORMS[form]
+    cfg = default_config(M=M)
+    event = build_event(cfg, 1, (1.0, 1.0), -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"within \[-3000, 3000\] dB, "
+                                             rf"got {snr_db:g}$"):
+            f(cfg, 1, event, snr_db=snr_db)
 
 
 # ---------------------------------------------------------------------------

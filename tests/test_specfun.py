@@ -48,19 +48,34 @@ def _params(name):
 
 def _contour_2012(z, a3, a4, a5):
     # the density kernel on its contour path alone, at its 1e-10 tolerance
-    log_abs, sign, _ = _contour_log(np.array([z]), plus=(a4, a5),
-                                    den_plus=(a3,))
+    log_abs, sign, _ = _contour_log(
+        np.array([z]), specfun._ratio((a4, a5), (), (a3,), ()))
     return float(sign[0] * np.exp(log_abs[0]))
 
 
-def _contour_1443(zeta, a3, a4, a5, abscissa=None):
-    # the Chernoff kernel at its 1e-9 tolerance, on a line fixed at
-    # ``abscissa`` or, by default, anchored at the band's saddle
+def _ratio_1443(a3, a4, a5):
     plus, minus, den_minus = _offsets_1443(a3, a4, a5)
+    return specfun._ratio(plus, minus, (), den_minus)
+
+
+def _contour_1443(zeta, a3, a4, a5):
+    # the Chernoff kernel at its 1e-9 tolerance, each line at its saddle
     log_abs, sign, specs = _contour_log(
-        np.array([zeta]), plus=plus, minus=minus, den_minus=den_minus,
-        abscissa=abscissa, rtol=1e-9)
+        np.array([zeta]), _ratio_1443(a3, a4, a5), rtol=1e-9)
     return float(sign[0] * np.exp(log_abs[0])), specs[0]
+
+
+def _fixed_line_1443(zeta, c, a3, a4, a5):
+    # the Chernoff kernel at its 1e-9 tolerance on the line Re s = c,
+    # built and summed outside the memo, then scaled as _contour_log does
+    ratio = _ratio_1443(a3, a4, a5)
+    cs = np.array([c])
+    line, = specfun._new_lines(cs, ratio, ratio.log(cs).real)
+    lnz = np.log(np.array([zeta]))
+    sums, _ = specfun._band_sums(lnz, line, ratio, 1e-9)
+    log_abs = (line.g0 - line.c * lnz[0] + math.log(abs(sums[0]))
+               - specfun._LN2PI)
+    return float(np.sign(sums[0]) * math.exp(log_abs))
 
 
 @pytest.mark.parametrize("name,z", sorted(REFERENCE))
@@ -306,8 +321,7 @@ def test_gamma_ratio_log_adds_its_factors_row_by_row(shape):
     ratios = []
     for M in (3, 8):
         p = fit_gparams(M, 0.5)
-        plus, minus, den_minus = _offsets_1443(p.a3, p.a4, p.a5)
-        ratios.append(specfun._ratio(plus, minus, (), den_minus))
+        ratios.append(_ratio_1443(p.a3, p.a4, p.a5))
         ratios.append(specfun._ratio((p.a4, p.a5), (), (p.a3,), ()))
     # denominator factors alone, each Gamma between 1 and 2 at s = 0.9:
     # on the real axis every factor's log has imaginary part -0
@@ -335,7 +349,7 @@ def test_node_doubling_raises_at_its_cap():
     # node spacing resolves; the doubling must fail loudly, not settle
     a3, a4, a5 = M3_PARAMS
     with pytest.raises(ConvergenceError, match="cap"):
-        _contour_1443(0.37, a3, a4, a5, abscissa=1e-7)
+        _fixed_line_1443(0.37, 1e-7, a3, a4, a5)
 
 
 def test_kernel_input_validation():
@@ -376,8 +390,7 @@ def test_averaging_transform_abscissa_independence():
     base, spec = _contour_1443(0.37, a3, a4, a5)
     assert base == meijer_g_1443(0.37, a3, a4, a5)
     for shift in (-0.1, 0.1):
-        moved, _ = _contour_1443(0.37, a3, a4, a5,
-                                 abscissa=spec.abscissa + shift)
+        moved = _fixed_line_1443(0.37, spec.abscissa + shift, a3, a4, a5)
         assert moved == pytest.approx(base, rel=1e-8)
 
 
