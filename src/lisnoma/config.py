@@ -16,10 +16,11 @@ from dataclasses import dataclass
 BPSK = (-1.0, 1.0)
 
 _SUM_TOL = 1e-12
+_MAX_GRID_POINTS = 10 ** 5     # SnrGrid's point cap, beside _resolve_n0's rule
 
 
 def _check_scenario(M, sigma2):
-    if int(M) != M or M < 1:
+    if not (math.isfinite(M) and int(M) == M and M >= 1):
         raise ValueError("M must be a positive integer")
     _check_sigma2(sigma2)
 
@@ -167,11 +168,18 @@ class SnrGrid:
 
     @classmethod
     def from_range_db(cls, start: float, stop: float, step: float) -> "SnrGrid":
-        """Points start + k * step up to stop, each computed from k."""
+        """Points start + k * step up to stop, each computed from k; both
+        ends and the point count are checked before any point is built."""
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise ValueError("start, stop and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
+        _resolve_n0(start)
+        _resolve_n0(stop)
+        last = (stop + 1e-9 - start) / step     # the last k, as a float
+        if last >= _MAX_GRID_POINTS:
+            raise ValueError(f"grid of {last + 1:.6g} points exceeds the "
+                             f"{_MAX_GRID_POINTS}-point cap")
         pts = []
         k = 0
         while start + k * step <= stop + 1e-9:

@@ -7,9 +7,11 @@ Two Meijer G instances are needed and only those two are implemented:
 * ``meijer_g_1443``: the kernel of the averaged Chernoff bound, with four
   upper and three lower parameters.
 
-Both are evaluated from their Mellin-Barnes representations. The series
-path sums left-pole residues (valid when the two lower parameters do not
-differ by an integer). The contour path integrates along vertical lines
+Both are evaluated from their Mellin-Barnes representations, the
+Chernoff kernel's with its duplication pairs folded (``_integrand_1443``:
+four gamma factors in place of seven). The series path sums left-pole
+residues (valid when the two lower parameters do not differ by an
+integer). The contour path integrates along vertical lines
 with the trapezoid rule, one line per band of arguments: the arguments
 are grouped on a fixed lattice in ln z (ratio 1.25), and each band gets
 one abscissa near the real-axis saddle of its centre, one half-length
@@ -29,9 +31,9 @@ it, and a call replays its doubling levels in the same order either
 way, so a value depends only on its argument, the parameters and the
 tolerance: never on which arguments share the call, nor on which calls
 came before. Each kernel builds its integrand, a gamma ratio, through
-``_ratio``, which keeps the ratios of the last _MAX_RATIOS offset sets
-and drops the least recently used; a ratio holds only its offsets, so
-it cannot change a value.
+``_ratio``, which keeps the last _MAX_RATIOS ratios and drops the least
+recently used; a ratio holds only its offsets, slope and base, so it
+cannot change a value.
 
 A new line costs its gamma factors and a fixed handful of array calls:
 the saddle search hands it log|F| at its abscissa, and the scalar
@@ -69,7 +71,7 @@ _CELLS = np.arange(_SADDLE_CELLS + 1)
 _NEXT_LEFT = np.maximum(_CELLS - 1, 0)
 _NEXT_RIGHT = np.minimum(_CELLS + 1, _SADDLE_CELLS)
 _MAX_LINES = 64            # contour lines kept in the memo
-_MAX_RATIOS = 64           # gamma ratios kept, one per offset set
+_MAX_RATIOS = 64           # gamma ratios kept, one per integrand
 _SERIES_RTOL = 1e-12       # residue series: relative size of its last term,
 _SERIES_TERMS = 512        # ... and its term budget per family
 
@@ -103,28 +105,30 @@ class MellinBarnesSpec:
 class _GammaRatio:
     """The gamma-factor ratio F(s) of a Mellin-Barnes integrand.
 
-    Factor k is Gamma(offset_k + direction_k s), in the numerator when
-    its sign is +1 and the denominator when -1. All factors are
-    evaluated in one ufunc call per point set. ``key``, the four offset
-    tuples as complex numbers, names the ratio in the line memo; every
-    line runs inside the pole-free strip ``lo`` < Re s < ``hi``. Build
-    one through ``_ratio``, which keeps it for later calls.
+    F(s) = base^s prod Gamma(b + s) prod Gamma(a - slope s) / (prod
+    Gamma(d + s) prod Gamma(e - slope s)), for b, a, d, e in ``plus``,
+    ``minus``, ``den_plus``, ``den_minus``. All factors are evaluated in
+    one ufunc call per point set. ``key``, the four offset tuples as
+    complex numbers then ``slope`` and ``base``, names the ratio in the
+    line memo; every line runs inside the pole-free strip ``lo`` < Re s
+    < ``hi``. Build one through ``_ratio``, which keeps it for later calls.
     """
 
-    def __init__(self, plus, minus, den_plus, den_minus):
-        self.key = tuple(tuple(complex(v) for v in group)
-                         for group in (plus, minus, den_plus, den_minus))
-        plus, minus, den_plus, den_minus = self.key
+    def __init__(self, plus, minus, den_plus, den_minus, slope=1, base=1.0):
+        self.key = tuple(tuple(complex(v) for v in group) for group in
+                         (plus, minus, den_plus, den_minus)) + (slope, base)
+        plus, minus, den_plus, den_minus = self.key[:4]
         self.lo = -min(b.real for b in plus) if plus else -math.inf
-        self.hi = min(a.real for a in minus) if minus else math.inf
-        groups = ((plus, 1, 1), (minus, -1, 1), (den_plus, 1, -1),
-                  (den_minus, -1, -1))
+        self.hi = min(a.real for a in minus) / slope if minus else math.inf
+        self._log_base = math.log(base)
+        groups = ((plus, 1, 1), (minus, -slope, 1), (den_plus, 1, -1),
+                  (den_minus, -slope, -1))
         table = np.array([(v, d, e) for g, d, e in groups for v in g],
                          dtype=complex)
         offset = table[:, 0]
         direction, sign = table[:, 1].real, table[:, 2].real
-        # |Gamma(x + i t)| falls like exp(-pi |t| / 2)
-        self.decay = math.pi / 2 * sign.sum()
+        # |Gamma(x + i d t)| falls like exp(-pi |d t| / 2)
+        self.decay = math.pi / 2 * (sign * np.abs(direction)).sum()
         # (offset, direction, sign) as columns that broadcast against
         # points of one and of two dimensions
         self._columns = {ndim: tuple(a.reshape((-1,) + (1,) * ndim)
@@ -140,12 +144,14 @@ class _GammaRatio:
         out = terms[0]
         for row in terms[1:]:
             out = out + row
+        if self._log_base:          # base^s
+            out = out + s * self._log_base
         return out
 
 
 @lru_cache(maxsize=_MAX_RATIOS)
-def _ratio(plus, minus, den_plus, den_minus):
-    return _GammaRatio(plus, minus, den_plus, den_minus)
+def _ratio(plus, minus, den_plus, den_minus, slope=1, base=1.0):
+    return _GammaRatio(plus, minus, den_plus, den_minus, slope, base)
 
 
 def _pole_margin(width):
@@ -551,23 +557,33 @@ def _offsets_1443(a3, a4, a5):
     return plus, minus, den_minus
 
 
+def _integrand_1443(a3, a4, a5):
+    """(ratio, log of constant) of the Chernoff kernel's integrand, whose
+    pairs Legendre's duplication (DLMF 5.5.5) folds into sqrt(pi) 2^(a3 -
+    a4 - a5) Gamma(s) Gamma(1+a4-2s) Gamma(1+a5-2s) / Gamma(1+a3-2s) 4^s."""
+    ratio = _ratio((0.0,), (1 + complex(a4), 1 + complex(a5)), (),
+                   (1 + complex(a3),), slope=2, base=4.0)
+    return ratio, math.log(math.pi) / 2 + (a3 - a4 - a5).real * math.log(2)
+
+
 def meijer_g_1443_log(zeta, a3, a4, a5):
     """Log-space evaluation of the Chernoff kernel on a 1-D ``zeta`` array.
 
-    Returns ``_contour_log``'s (log_abs, sign, specs): two arrays shaped
-    like ``zeta`` and one MellinBarnesSpec per argument band. The
-    contour's relative tolerance is 1e-9.
+    Returns ``_contour_log``'s (log_abs, sign, specs) on the integrand of
+    ``_integrand_1443``, its constant added: two arrays shaped like
+    ``zeta`` and one MellinBarnesSpec per argument band, at rtol 1e-9.
     """
-    plus, minus, den_minus = _offsets_1443(a3, a4, a5)
-    return _contour_log(zeta, _ratio(plus, minus, (), den_minus), rtol=1e-9)
+    ratio, log_const = _integrand_1443(a3, a4, a5)
+    log_abs, sign, specs = _contour_log(zeta, ratio, rtol=1e-9)
+    return log_abs + log_const, sign, specs
 
 
 def meijer_g_1443(zeta, a3, a4, a5):
     """Meijer G with four upper and three lower parameters.
 
     Accepts scalar or array ``zeta > 0``, finite. Evaluated by contour
-    quadrature, each band's line anchored near its saddle, with node
-    doubling until the relative change drops below 1e-9.
+    quadrature of its four-factor integrand, each band's line at its
+    saddle, node doubling until the relative change drops below 1e-9.
     """
     log_abs, sign, _ = meijer_g_1443_log(
         np.ravel(np.asarray(zeta, dtype=float)), a3, a4, a5)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from lisnoma import SnrGrid, SystemConfig, default_config, load_scenario
+from lisnoma.config import _MAX_GRID_POINTS as MAX
 from lisnoma.config import BPSK
 
 
@@ -122,6 +123,23 @@ def test_snr_grid_rejects_bad_input():
         SnrGrid.parse("0:30")
     with pytest.raises(ValueError):
         SnrGrid.from_range_db(0.0, 10.0, -2.0)
+
+
+def test_snr_grid_range_is_checked_before_any_point_is_built():
+    # an end past 3000 dB, or a step so fine that the grid would pass its
+    # point cap, is refused up front; 0:1:1e-300 would otherwise never end
+    with pytest.raises(ValueError, match="got 1e\\+06"):
+        SnrGrid.parse("0:1e6:1")
+    with pytest.raises(ValueError, match="got -3001"):
+        SnrGrid.parse("-3001:0:1")
+    for text, count in (("0:1:1e-5", "100001"), ("0:1:1e-300", "1e\\+300"),
+                        ("0:1:5e-324", "inf")):
+        with pytest.raises(ValueError, match=f"grid of {count} points"):
+            SnrGrid.parse(text)
+    step = 2.0 ** -5
+    grid = SnrGrid.from_range_db(-1500.0, -1500.0 + (MAX - 1) * step, step)
+    assert len(grid.db) == MAX
+    assert grid.db == tuple(-1500.0 + k * step for k in range(MAX))
 
 
 def test_default_grid_spans_the_plotting_range():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lisnoma import analytic_moments, empirical_moments
+from lisnoma import analytic_moments, empirical_moments, fit_gparams
 from lisnoma.moments import _mu3_listed, _mu4_listed
 
 PI = math.pi
@@ -72,6 +72,15 @@ def test_moment_validation():
         analytic_moments(3, -0.5)
     with pytest.raises(ValueError):
         empirical_moments(3, 0.5, samples=100)
+
+
+@pytest.mark.parametrize("entry", [analytic_moments, fit_gparams,
+                                   empirical_moments])
+@pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan])
+def test_non_finite_element_count_is_refused(entry, M):
+    # refused by the scenario rule, before int(M) could overflow or fail
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        entry(M, 0.5)
 
 
 @pytest.mark.parametrize("M", [2, 5])

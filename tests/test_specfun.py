@@ -53,28 +53,32 @@ def _contour_2012(z, a3, a4, a5):
     return float(sign[0] * np.exp(log_abs[0]))
 
 
-def _ratio_1443(a3, a4, a5):
+def _seven_factor_ratio_1443(a3, a4, a5):
+    # the Chernoff kernel's integrand before Legendre's duplication folds
+    # its pairs: Gamma(s) times the four ``minus`` factors over the two
+    # ``den_minus`` ones, with no constant and no 4^s
     plus, minus, den_minus = _offsets_1443(a3, a4, a5)
     return specfun._ratio(plus, minus, (), den_minus)
 
 
 def _contour_1443(zeta, a3, a4, a5):
     # the Chernoff kernel at its 1e-9 tolerance, each line at its saddle
-    log_abs, sign, specs = _contour_log(
-        np.array([zeta]), _ratio_1443(a3, a4, a5), rtol=1e-9)
+    log_abs, sign, specs = specfun.meijer_g_1443_log(
+        np.array([zeta]), a3, a4, a5)
     return float(sign[0] * np.exp(log_abs[0])), specs[0]
 
 
 def _fixed_line_1443(zeta, c, a3, a4, a5):
     # the Chernoff kernel at its 1e-9 tolerance on the line Re s = c,
-    # built and summed outside the memo, then scaled as _contour_log does
-    ratio = _ratio_1443(a3, a4, a5)
+    # built and summed outside the memo, then scaled as _contour_log and
+    # meijer_g_1443_log do
+    ratio, log_const = specfun._integrand_1443(a3, a4, a5)
     cs = np.array([c])
     line, = specfun._new_lines(cs, ratio, ratio.log(cs).real)
     lnz = np.log(np.array([zeta]))
     sums, _ = specfun._band_sums(lnz, line, ratio, 1e-9)
     log_abs = (line.g0 - line.c * lnz[0] + math.log(abs(sums[0]))
-               - specfun._LN2PI)
+               - specfun._LN2PI + log_const)
     return float(np.sign(sums[0]) * math.exp(log_abs))
 
 
@@ -308,6 +312,8 @@ def _log_by_rows(ratio, s):
     out = terms[0]
     for row in terms[1:]:
         out = out + row
+    if ratio._log_base:
+        out = out + s * ratio._log_base
     return out
 
 
@@ -321,7 +327,8 @@ def test_gamma_ratio_log_adds_its_factors_row_by_row(shape):
     ratios = []
     for M in (3, 8):
         p = fit_gparams(M, 0.5)
-        ratios.append(_ratio_1443(p.a3, p.a4, p.a5))
+        ratios.append(specfun._integrand_1443(p.a3, p.a4, p.a5)[0])
+        ratios.append(_seven_factor_ratio_1443(p.a3, p.a4, p.a5))
         ratios.append(specfun._ratio((p.a4, p.a5), (), (p.a3,), ()))
     # denominator factors alone, each Gamma between 1 and 2 at s = 0.9:
     # on the real axis every factor's log has imaginary part -0
@@ -448,15 +455,15 @@ KERNEL_ZETAS = np.geomspace(1e-4, 1e6, 161)
 KERNEL_ZS = np.concatenate([np.linspace(0.25, 10.0, 40),
                             np.geomspace(10.05, 400.0, 120)])
 KERNEL_GOLDEN = {
-    1: ("e7e757f31403c8258e2232a0e1afbbf39650b8b556f89d0f6089d559c3f4a1ee",
+    1: ("53a7a2a689a8039f7b526a8d9ae3c3cc96ba3cb095c6117f0c7517e55c6b3ba1",
         "7f7a41001928db79e1e63853a9b5b905839945519881ab196ae260b87a51e84c"),
-    3: ("460d4b059670ccc1a3bea26a0a368eca93c6d98c73959abc36d54e55d37e7960",
+    3: ("ecbb1d55adeedbdec01a96ca2d144f41082f09ce2f79acc08be2e92b7d13878a",
         "4c37dfa6f2fe3a76f2a020ad54d8e3a08c34baa4cc70f112bd27e80c0e0bc373"),
-    6: ("e839080530c8f52b301b83f3ed9e404b0c79e0829efaaf70414fdc212e1e8345",
+    6: ("1290e7c13ef39048131e91d40f7b59e71832cc33c37b7dd4ee6f79f1fa19b411",
         "fee975a064b3ba9e23060b9b597f464b73a531308a824a4171fc810638f97248"),
-    15: ("88753c6cfa6be930f9d8a30c98c626e89714390f014d39c25282e9b1e249cade",
+    15: ("d47b39551ca052840a2f91adc90ca0674dc2ec14333ea01e648590cef3f6173e",
          "2749893a2881ff1c709cd9fbc61ffeffbeff99836bf92065942a89b33306621b"),
-    32: ("fa243b77ddaf419a2a65688632fb4b6f1d23846dcd0aaec799660660031b0fba",
+    32: ("8f75aa83996ab02cbdfa577434648ba3b8cc940dcd41096581968ae80c67d963",
          "89ae4cd2f8085ac7563c751188bf9bd304b7306093d4e5cedeaa4740f18359d4"),
 }
 
@@ -477,16 +484,38 @@ def test_kernel_bits_are_pinned(M):
     assert got == KERNEL_GOLDEN[M]
 
 
+# conjugate-pair fits (M <= 3) and real fits up to M = 64
+@pytest.mark.parametrize("M", [1, 2, 3, 6, 15, 32, 64])
+def test_folded_integrand_equals_the_seven_factor_contour(M):
+    # folding the kernel's duplication pairs must leave every value within
+    # 1e-12 and every band's line (abscissa, half-length, nodes) unchanged
+    p = fit_gparams(M, 0.5)
+    ratio, _ = specfun._integrand_1443(p.a3, p.a4, p.a5)
+    seven = _seven_factor_ratio_1443(p.a3, p.a4, p.a5)
+    assert (ratio.lo, ratio.hi, ratio.decay) == (seven.lo, seven.hi,
+                                                 seven.decay)
+    assert ratio._columns[1][0].size == 4
+    log_abs, sign, specs = specfun.meijer_g_1443_log(KERNEL_ZETAS, p.a3,
+                                                     p.a4, p.a5)
+    log7, sign7, specs7 = _contour_log(KERNEL_ZETAS, seven, rtol=1e-9)
+    assert np.array_equal(sign, sign7)
+    assert np.max(np.abs(np.expm1(log_abs - log7))) <= 1e-12
+    line = [(s.band, s.abscissa, s.half_length, s.nodes) for s in specs]
+    assert line == [(s.band, s.abscissa, s.half_length, s.nodes)
+                    for s in specs7]
+    assert {s.integrand for s in specs} == {ratio.key}
+
+
 # sha256 of the float64 bytes of pep_general's raw values, one SNR point
 # per call on 0:40:2 dB, for user 1's and then user 2's canonical event,
 # at each of SINGLE_M; pinned for the versions in KERNEL_VERSIONS
 PEP_SNR_DB = tuple(float(s) for s in range(0, 41, 2))
 PEP_GOLDEN = {
-    1: "fa413fca70ddb2920143a4006c21069490af12806d8cd0e23abd036e6e829de4",
-    3: "f122fc09f87ba0a70d2656ea8225f12b4123579bf2817c4f0cec07b9213fbe76",
-    4: "6809de04ebc3c937c9aae0c775b9a9c7e3185e5a13b1eb7e4af958a635bc35af",
-    6: "de2cc1846a1ec5a59d54bd491a9dfaca80f0a67192cc9f90bbc701aa05dfba33",
-    16: "9ff65b367dbf945f14824ce69c9283623785eb2b7aeed8fb8ed2a38363a2ad2f",
+    1: "aae29b4c40380c5e11948c8ce33bf747bafbb5d5c42db5ce836d9ba462f362eb",
+    3: "2a490fe1364f8bbc1a1265b9f92e8a0af5c72aac716caf7bc7e067cfcd21b1e4",
+    4: "5ff9669071f118c67ea895bbb110c1732282fc3392411bab561b26027459f14c",
+    6: "1bcd7c11dff4e92239e77707df8bfea89e0c3fe0dbc9afb2c8b27270d551b9c2",
+    16: "3bd50ae596ee568d7c475a329495331f74582d697d4c9b26058be3c5078da5da",
 }
 
 
