@@ -18,8 +18,11 @@ one abscissa near the real-axis saddle of its centre, one half-length
 and one set of gamma factors per node. The argument enters only as the
 phase -t ln z, so a band's sums are one (arguments x nodes) product.
 Anchoring near the saddle keeps float64 cancellation bounded for small
-and large arguments alike. All gamma factors are handled in log space
-with sign tracking.
+and large arguments alike. A line's first nodes are spaced a quarter of
+its distance d to the nearest pole (at least 33 nodes), where the
+trapezoid rule's aliasing error, about exp(-2 pi d / h), is near 1e-11;
+nodes then double until the sums meet the tolerance. All gamma factors
+are handled in log space with sign tracking.
 
 A band's line (abscissa, half-length, and the nodes and gamma factors
 of each node-doubling level reached so far) depends only on the
@@ -59,12 +62,13 @@ from ._util import ConvergenceError, match_scalar
 
 _LN2PI = math.log(2.0 * math.pi)
 _TAIL_LOG = -43.0          # integrand tail cutoff, about 2e-19 relative
-_FIRST_NODES = 129
+_FIRST_NODES = 33          # least first node count of a line
 _MAX_NODES = 1 << 17
 _BAND_LOG = math.log(1.25)  # width of one argument band in ln z
 _BLOCK = 1 << 18           # entries per (arguments x nodes) row block
 _SADDLE_CELLS = 16         # saddle search: grid cells per round,
-_SADDLE_ROUNDS = 4         # ... and rounds, to 1.2e-4 of the bracket
+_SADDLE_ROUNDS = 2         # ... and rounds, to 1/128 of the bracket:
+                           # the modulus is flat near its minimum
 _CELLS = np.arange(_SADDLE_CELLS + 1)
 # the next round's bracket runs from the cell left of the lowest sample
 # to the cell right of it
@@ -265,11 +269,13 @@ def _new_lines(c, ratio, g0):
     """
     T = _half_lengths(c, ratio, g0)
     # a pole at distance d from the line leaves a bump of width ~d along
-    # it; start with enough nodes that the bump is sampled, or the
-    # doubling loop can plateau on a wrong value
+    # it, and the trapezoid rule's aliasing error at spacing h is about
+    # exp(-2 pi d / h) (Trefethen & Weideman, SIAM Rev. 56, 2014): spacing
+    # d / 4 puts it near exp(-8 pi) = 1e-11, under both kernels'
+    # tolerance, so the first doubling mostly confirms the first level
     prox = np.minimum(c - ratio.lo, ratio.hi - c)
     first = np.maximum(_FIRST_NODES, np.minimum(
-        4097, (3.0 * T / np.maximum(prox, 1e-6)).astype(int) | 1))
+        4097, (4.0 * T / np.maximum(prox, 1e-6)).astype(int) | 1))
     return [_Line(float(c[k]), float(T[k]), float(g0[k]), int(first[k]), [])
             for k in range(c.size)]
 
@@ -584,7 +590,15 @@ def meijer_g_1443(zeta, a3, a4, a5):
     Accepts scalar or array ``zeta > 0``, finite. Evaluated by contour
     quadrature of its four-factor integrand, each band's line at its
     saddle, node doubling until the relative change drops below 1e-9.
+    A value past float64's range raises ValueError; one below it rounds
+    to a subnormal or 0.0 (at M = 256, zeta = 1e3 the value is 3.5e-339).
+    ``meijer_g_1443_log`` holds both.
     """
     log_abs, sign, _ = meijer_g_1443_log(
         np.ravel(np.asarray(zeta, dtype=float)), a3, a4, a5)
-    return match_scalar(zeta, (sign * np.exp(log_abs)).reshape(np.shape(zeta)))
+    with np.errstate(over="ignore"):
+        value = sign * np.exp(log_abs)
+    if np.isinf(value).any():
+        raise ValueError("meijer_g_1443 value exceeds float64's range; "
+                         "meijer_g_1443_log holds its log")
+    return match_scalar(zeta, value.reshape(np.shape(zeta)))

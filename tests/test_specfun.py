@@ -267,6 +267,43 @@ def test_banded_contour_matches_mpmath(M):
             assert g == pytest.approx(float(mp.re(ref)), rel=1e-12)
 
 
+@pytest.mark.parametrize("M", [1, 3, 15, 64])
+def test_lines_sized_by_pole_distance_meet_mpmath(M):
+    # a line's first level is spaced a quarter of its pole distance, with
+    # at least 33 nodes: both kernels must still meet 30-digit mpmath to
+    # 1e-10, some lines must converge on fewer than 257 nodes (the least
+    # that a 129-node floor allowed), and the first doubling must confirm
+    # the first level on all but one of the 37 lines (a line at M = 15
+    # and one at M = 64 need a second doubling)
+    import mpmath as mp
+    specfun._LINES.clear()
+    p = fit_gparams(M, 0.5)
+    zetas = 10.0 ** (np.arange(-4, 29) / 2)     # 1e-2 to 1e14
+    zs = np.array([12.0, 40.0, 150.0, 500.0])
+    log_abs, sign, specs = specfun.meijer_g_1443_log(zetas, p.a3, p.a4,
+                                                     p.a5)
+    _, _, specs_2012 = _contour_log(
+        zs, specfun._ratio((p.a4, p.a5), (), (p.a3,), ()))
+    vals = meijer_g_2012(zs, p.a3, p.a4, p.a5)
+    a3, a4, a5 = p.a3, complex(p.a4), complex(p.a5)
+    upper = [1 + a3 / 2, (1 + a3) / 2]
+    lower = [1 + a4 / 2, (1 + a4) / 2, 1 + a5 / 2, (1 + a5) / 2]
+    with mp.workdps(30):
+        for zeta, la, sg in zip(zetas, log_abs, sign):
+            ref = mp.re(mp.meijerg([[1], upper], [lower, []], 1 / zeta))
+            assert sg == mp.sign(ref)
+            assert abs(math.expm1(la - float(mp.log(abs(ref))))) <= 1e-10
+        for z, v in zip(zs, vals):
+            ref = mp.meijerg([[], [a3]], [[a4, a5], []], z)
+            assert v == pytest.approx(float(mp.re(ref)), rel=1e-10)
+    assert min(s.nodes for s in specs) < 257
+    assert min(s.nodes for s in specs_2012) < 257
+    # a cold line that converges at its first doubling holds two levels
+    lines = list(specfun._LINES.values())
+    assert len(lines) == len(specs) + len(specs_2012) == 37
+    assert sum(len(line.levels) > 2 for line in lines) <= 1
+
+
 # fits at which every contour value is compared between a one-argument
 # call and a batch: one-argument calls sum a (factors, 1) array of gamma
 # logs, so a reordered sum of the factors shows there first
@@ -391,6 +428,22 @@ def test_chernoff_kernel_keeps_the_shape_of_its_argument():
     assert one == meijer_g_1443(np.array([0.37]), a3, a4, a5)[0]
 
 
+@pytest.mark.filterwarnings("error")
+def test_chernoff_kernel_refuses_a_value_past_float64():
+    # at M = 256 the log form holds log G = 1464.8 at zeta = 1e-2, past
+    # float64: the value form must refuse it, not return inf under an
+    # overflow warning. log G = -779.3 at zeta = 1e3 rounds to 0.0
+    p = fit_gparams(256, 0.5)
+    log_abs, sign, _ = specfun.meijer_g_1443_log(np.array([1e-2, 1e3]),
+                                                 p.a3, p.a4, p.a5)
+    assert log_abs.tolist() == pytest.approx([1464.77, -779.32], abs=0.01)
+    assert sign.tolist() == [1.0, 1.0]
+    for zeta in (1e-2, np.array([1e3, 1e-2])):
+        with pytest.raises(ValueError, match="meijer_g_1443_log"):
+            meijer_g_1443(zeta, p.a3, p.a4, p.a5)
+    assert meijer_g_1443(1e3, p.a3, p.a4, p.a5) == 0.0
+
+
 def test_averaging_transform_abscissa_independence():
     # the contour value must not depend on where the line is anchored
     a3, a4, a5 = M3_PARAMS
@@ -455,16 +508,16 @@ KERNEL_ZETAS = np.geomspace(1e-4, 1e6, 161)
 KERNEL_ZS = np.concatenate([np.linspace(0.25, 10.0, 40),
                             np.geomspace(10.05, 400.0, 120)])
 KERNEL_GOLDEN = {
-    1: ("53a7a2a689a8039f7b526a8d9ae3c3cc96ba3cb095c6117f0c7517e55c6b3ba1",
-        "7f7a41001928db79e1e63853a9b5b905839945519881ab196ae260b87a51e84c"),
-    3: ("ecbb1d55adeedbdec01a96ca2d144f41082f09ce2f79acc08be2e92b7d13878a",
-        "4c37dfa6f2fe3a76f2a020ad54d8e3a08c34baa4cc70f112bd27e80c0e0bc373"),
-    6: ("1290e7c13ef39048131e91d40f7b59e71832cc33c37b7dd4ee6f79f1fa19b411",
-        "fee975a064b3ba9e23060b9b597f464b73a531308a824a4171fc810638f97248"),
-    15: ("d47b39551ca052840a2f91adc90ca0674dc2ec14333ea01e648590cef3f6173e",
-         "2749893a2881ff1c709cd9fbc61ffeffbeff99836bf92065942a89b33306621b"),
-    32: ("8f75aa83996ab02cbdfa577434648ba3b8cc940dcd41096581968ae80c67d963",
-         "89ae4cd2f8085ac7563c751188bf9bd304b7306093d4e5cedeaa4740f18359d4"),
+    1: ("ec431a6776041c1dff5927dadc13a2354ac915555d057863ce758c5a762508eb",
+        "65e00cf4aef3d2cae6eff16db05cec0becf9e9075fac1b8709d757da553e3fbb"),
+    3: ("b2551a8a717bdc9315076e4ad879b5c12550f41b6a5881b8538ae7e4a26e7345",
+        "461cb9df079ba0a33c85e2a75581f4bbffe76d0873964e251a39244c1f1e6d7e"),
+    6: ("13957ca832fdf37adc6d9a14c90f02a2d328ebd7519836d3f4c78c143262ec9a",
+        "896da4a23f8d9f1d18d1ecd0b71f180b345f3daea29f038b99a9f3651330cd57"),
+    15: ("3638264c1ec8e6d38df4422ee33ae048ab37021ef4afe4ae4e8b06fb6e825b43",
+         "1afc519ab8c5391ed1f21044c73bcaf6ad55a9703a65c801e0680b5b5984e3dd"),
+    32: ("57f7b8a11b5bda89f540d7a4104af9d1c4ca3c7a90db17dca064e1fd78dad8e1",
+         "35b0c4f886d952cdd0573cc58e60d95509cfd3b868346cf50236f91705dcc8ae"),
 }
 
 
@@ -511,11 +564,11 @@ def test_folded_integrand_equals_the_seven_factor_contour(M):
 # at each of SINGLE_M; pinned for the versions in KERNEL_VERSIONS
 PEP_SNR_DB = tuple(float(s) for s in range(0, 41, 2))
 PEP_GOLDEN = {
-    1: "aae29b4c40380c5e11948c8ce33bf747bafbb5d5c42db5ce836d9ba462f362eb",
-    3: "2a490fe1364f8bbc1a1265b9f92e8a0af5c72aac716caf7bc7e067cfcd21b1e4",
-    4: "5ff9669071f118c67ea895bbb110c1732282fc3392411bab561b26027459f14c",
-    6: "1bcd7c11dff4e92239e77707df8bfea89e0c3fe0dbc9afb2c8b27270d551b9c2",
-    16: "3bd50ae596ee568d7c475a329495331f74582d697d4c9b26058be3c5078da5da",
+    1: "4f4e8d536bd80cb59426cd7ffc6dae3e03651ae924079a1a3d2453dcf1cb6de9",
+    3: "a0e42079f86323f06f126d194c5080b6090ce463f098014a6d07ece449ee7ce4",
+    4: "05406cd623b4b67c65ef7d05936a7c850d260e547c1547f34acab9b72eee3778",
+    6: "66fb803672837c94b297317e392af6844544c23da1d137c0158a3e31439c9129",
+    16: "24d4f27aad9ec49a652d7ef2ac3ce4516f47a9e0d7de271ef467fff376dae436",
 }
 
 
